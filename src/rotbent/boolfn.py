@@ -74,21 +74,30 @@ class AnfForm:
         object.__setattr__(self, "monomials", monos)
 
 
-def _xor_butterfly(a):
-    """In-place-style XOR butterfly; its own inverse (applied to a copy)."""
-    a = a.copy()
+def _butterfly(a, step):
+    """Run the levels of a fast transform over a contiguous 2^n array, in place.
+
+    At level h = 1, 2, 4, ... the array is seen as blocks of 2h entries, and
+    step(lo, hi) gets the (blocks, h) views of every block's first and second
+    half and must update them in place.  Returns a.  Every transform in this
+    package is one such step: XOR (Moebius over GF(2)), add/subtract
+    (zeta/Moebius over the integers), and the signed Walsh pair.
+    """
     h = 1
     while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        a[:, h:] ^= a[:, :h]
-        a = a.reshape(-1)
+        v = a.reshape(-1, 2, h)
+        step(v[:, 0], v[:, 1])
         h *= 2
     return a
 
 
+def _xor_step(lo, hi):
+    np.bitwise_xor(hi, lo, out=hi)
+
+
 def anf_from_truth_table(tt):
     """Moebius transform of the table: monomials with coefficient 1."""
-    coeffs = _xor_butterfly(tt.bits)
+    coeffs = _butterfly(tt.bits.copy(), _xor_step)
     return AnfForm(tt.n, frozenset(int(i) for i in np.flatnonzero(coeffs)))
 
 
@@ -97,7 +106,7 @@ def truth_table_from_anf(anf):
     ind = np.zeros(1 << anf.n, dtype=np.uint8)
     for m in anf.monomials:
         ind[m] = 1
-    return TruthTable(anf.n, _xor_butterfly(ind))
+    return TruthTable(anf.n, _butterfly(ind, _xor_step))
 
 
 def algebraic_degree(anf):

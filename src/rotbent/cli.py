@@ -9,6 +9,8 @@ processes and merges their results deterministically.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -26,17 +28,22 @@ from .covercoef import (
 )
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import classify_degree2
-from .nonexistence import NOT_BENT, RULES, verify_witness
+from .nonexistence import NOT_BENT, RULES
 from .rotsym import (
     bits_to_mask,
     format_sanf,
     mask_to_bits,
-    orbit_count,
     orbit_expand,
     parse_sanf,
     sanf_truth_table,
 )
-from .search import DEFAULT_BUDGET, SearchTask, _params_hash, exhaustive_search
+from .search import (
+    DEFAULT_BUDGET,
+    SearchResult,
+    SearchTask,
+    append_checkpoint,
+    exhaustive_search,
+)
 from .walsh import is_bent, walsh_spectrum
 
 _WALSH_N_MAX = 22  # full-table routes above this are not worth materializing
@@ -183,16 +190,8 @@ def cmd_nonexist(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
     selected = RULES if args.rule == "all" else [r for r in RULES if r[0] == args.rule]
+    # every rule runs with verify=True: a released witness is already checked
     reports = [(name, fn(sanf)) for name, fn in selected]
-    for name, rep in reports:
-        if rep.witness_u0 is None:
-            continue
-        try:
-            ok = verify_witness(sanf, rep)
-        except CapacityError:
-            continue
-        if not ok:
-            raise InternalInconsistencyError(f"{name} witness fails re-verification")
     proved = any(rep.verdict == NOT_BENT for _, rep in reports)
     if args.format == "json":
         print(
@@ -216,59 +215,27 @@ def cmd_nonexist(args):
     return 0 if proved else 1
 
 
-def _shard_worker(payload):
-    n, d, mode, index, total, long_run, budget = payload
-    task = SearchTask(n, d, mode, (index, total), long_run)
-    return exhaustive_search(task, budget)
-
-
 def cmd_search(args):
-    n, d = args.nvars, args.degree
-    shard = _parse_shard(args.shard)
+    task = SearchTask(args.nvars, args.degree, _parse_shard(args.shard), args.long_run)
     threads = _thread_count()
     started = time.perf_counter()
-    if shard is None and threads > 1:
-        payloads = [
-            (n, d, args.mode, i, threads, args.long_run, args.budget)
-            for i in range(threads)
-        ]
+    if task.shard is None and threads > 1:
+        tasks = [dataclasses.replace(task, shard=(i, threads)) for i in range(threads)]
+        search = functools.partial(exhaustive_search, budget=args.budget)
         tested = 0
         merged = []
-        total = (1 << orbit_count(n, d)) - 1
         with multiprocessing.Pool(threads) as pool:
-            for i, res in enumerate(pool.imap(_shard_worker, payloads)):
-                tested += res.candidates
-                merged.extend(res.bent)
+            for part in pool.imap(search, tasks):
+                tested += part.candidates
+                merged.extend(part.bent)
                 if args.checkpoint:
-                    task = SearchTask(n, d, args.mode, (i, threads), args.long_run)
-                    record = {
-                        "n": n,
-                        "d": d,
-                        "mode": args.mode,
-                        "shard": [i, threads],
-                        "range": [1 + (total * i) // threads, 1 + (total * (i + 1)) // threads],
-                        "candidates_tested": res.candidates,
-                        "bent": [format_sanf(s) for s in res.bent],
-                        "params_hash": _params_hash(task, args.budget),
-                        "elapsed_s": round(time.perf_counter() - started, 3),
-                    }
-                    with open(args.checkpoint, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(record, sort_keys=True) + "\n")
-        bent = sorted(merged, key=lambda s: s.reps)
+                    append_checkpoint(args.checkpoint, part, args.budget, started)
+        result = SearchResult(task, tested, tuple(merged))
     else:
-        task = SearchTask(n, d, args.mode, shard, args.long_run)
         result = exhaustive_search(task, args.budget, args.checkpoint)
-        tested = result.candidates
-        bent = sorted(result.bent, key=lambda s: s.reps)
-    payload = {
-        "n": n,
-        "d": d,
-        "mode": args.mode,
-        "shard": list(shard) if shard else None,
-        "candidates_tested": tested,
-        "bent": [format_sanf(s) for s in bent],
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
+    bent = tuple(sorted(result.bent, key=lambda s: s.reps))
+    payload = dataclasses.replace(result, bent=bent).as_dict()
+    payload["elapsed_s"] = round(time.perf_counter() - started, 3)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -278,7 +245,7 @@ def cmd_search(args):
     else:
         for name in payload["bent"]:
             print(name)
-        print(f"{len(bent)} bent / {tested} tested")
+        print(f"{len(bent)} bent / {result.candidates} tested")
     return 0
 
 
@@ -344,7 +311,11 @@ def build_parser():
     sp = sub.add_parser("search", help="exhaustive search over a degree layer")
     _add_common(sp, with_sanf=False)
     sp.add_argument("-d", "--degree", type=int, required=True, help="homogeneous degree")
-    sp.add_argument("--mode", choices=("full", "early-abort"), default="early-abort")
+    sp.add_argument(
+        "--mode",
+        choices=("full", "early-abort"),
+        help="ignored: there is one search engine; accepted so old scripts still run",
+    )
     sp.add_argument("--shard", help="INDEX/TOTAL slice of the candidate space")
     sp.add_argument(
         "--budget",

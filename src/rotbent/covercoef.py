@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import truth_table_from_anf
+from .boolfn import _butterfly, truth_table_from_anf
 from .errors import CapacityError, InternalInconsistencyError
 from .walsh import WalshSpectrum, walsh_spectrum
 
 CAPACITY = 24  # contractual cap on the monomial-list size for the direct route
-_ARRAY_N_MAX = 20  # full 2^n arrays beyond this are not worth materializing
+_ARRAY_N_MAX = 20  # full 2^n arrays (spectra, coefficients, witness checks) stop here
 
 INFINITE = math.inf
 
@@ -50,47 +50,23 @@ class CoverValue:
 
 
 def _popcounts(n):
-    idx = np.arange(1 << n, dtype=np.int64)
-    pc = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        pc += (idx >> b) & 1
-    return pc
+    """|u| for every mask u < 2^n, as int64."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
 
 
-def _zeta_add(a):
-    """a[v] <- sum over subsets of v (in place on a copy)."""
-    a = a.copy()
-    h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        a[:, h:] += a[:, :h]
-        a = a.reshape(-1)
-        h *= 2
-    return a
+def _zeta_add(lo, hi):
+    """One level of a[v] <- sum over subsets of v."""
+    np.add(hi, lo, out=hi)
 
 
-def _mobius_sub(a):
-    """Inverse of _zeta_add: a[u] <- sum_{v subset u} (-1)^(|u|-|v|) a[v]."""
-    a = a.copy()
-    h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        a[:, h:] -= a[:, :h]
-        a = a.reshape(-1)
-        h *= 2
-    return a
+def _mobius_sub(lo, hi):
+    """One level of the inverse: a[u] <- sum_{v subset u} (-1)^(|u|-|v|) a[v]."""
+    np.subtract(hi, lo, out=hi)
 
 
-def _superset_sums(a):
-    """a[u] <- sum over supersets of u."""
-    a = a.copy()
-    h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        a[:, :h] += a[:, h:]
-        a = a.reshape(-1)
-        h *= 2
-    return a
+def _superset_sums(lo, hi):
+    """One level of a[u] <- sum over supersets of u."""
+    np.add(lo, hi, out=lo)
 
 
 def all_cover_coefficients(monomials, n):
@@ -105,9 +81,9 @@ def all_cover_coefficients(monomials, n):
     cnt = np.zeros(1 << n, dtype=np.int64)
     for m in monomials:
         cnt[m] += 1
-    cnt = _zeta_add(cnt)
+    _butterfly(cnt, _zeta_add)
     signs = np.where(cnt & 1, -1, 1).astype(np.int64)
-    return _mobius_sub(signs)
+    return _butterfly(signs, _mobius_sub)
 
 
 def _walk(sub, u):
@@ -140,16 +116,11 @@ def cover_coefficient(monomials, u):
         # compress onto the support of u and run the lattice identity there
         pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
         place = {p: i for i, p in enumerate(pos)}
-        cnt = np.zeros(1 << w, dtype=np.int64)
-        for m in sub:
-            c = 0
-            for j in range(m.bit_length()):
-                if (m >> j) & 1:
-                    c |= 1 << place[j]
-            cnt[c] += 1
-        cnt = _zeta_add(cnt)
-        signs = np.where(cnt & 1, -1, 1).astype(np.int64)
-        val = int(_mobius_sub(signs)[-1])
+        compressed = [
+            sum(1 << place[j] for j in range(m.bit_length()) if (m >> j) & 1)
+            for m in sub
+        ]
+        val = int(all_cover_coefficients(compressed, w)[-1])
     elif u == 0:
         val = -1 if monos.count(0) % 2 else 1
     else:
@@ -178,7 +149,7 @@ def cover_coefficient_from_spectrum(spectrum, u):
 def all_cover_from_spectrum(spectrum):
     """H(u) for every u via the spectrum route, exact."""
     n = spectrum.n
-    s = _superset_sums(spectrum.values.astype(np.int64))
+    s = _butterfly(spectrum.values.astype(np.int64), _superset_sums)
     pc = _popcounts(n)
     shift = n - pc
     q = s >> shift
@@ -196,17 +167,14 @@ def spectrum_from_cover(monomials, n):
         )
     harr = all_cover_coefficients(monos, n)
     pc = _popcounts(n)
-    s = _superset_sums(harr << (n - pc))
+    s = _butterfly(harr << (n - pc), _superset_sums)
     return WalshSpectrum(n, np.where(pc & 1, -s, s))
 
 
 def _valuations(harr):
     """Elementwise v2 as an int array, with a huge sentinel where H = 0."""
-    low = harr & -harr
-    v2 = np.zeros_like(harr)
-    nz = harr != 0
-    v2[nz] = np.round(np.log2(low[nz].astype(np.float64))).astype(np.int64)
-    v2[~nz] = np.iinfo(np.int64).max  # stands in for +infinity
+    v2 = np.bitwise_count((harr & -harr) - 1).astype(np.int64)
+    v2[harr == 0] = np.iinfo(np.int64).max  # stands in for +infinity
     return v2
 
 

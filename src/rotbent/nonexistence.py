@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .boolfn import truth_table_from_anf
 from .covercoef import (
+    _ARRAY_N_MAX,
     CAPACITY,
     cover_coefficient,
     cover_coefficient_from_spectrum,
@@ -39,8 +40,6 @@ from .walsh import is_bent, walsh_spectrum
 
 NOT_BENT = "NOT_BENT"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-_DIRECT_N_MAX = 20  # witnesses are verified numerically up to this table size
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def _witness_value(sanf, u0):
     got = []
     if len(monos) <= CAPACITY:
         got.append(cover_coefficient(monos, u0))
-    if n % 2 == 0 and n <= _DIRECT_N_MAX:
+    if n % 2 == 0 and n <= _ARRAY_N_MAX:
         spec = walsh_spectrum(truth_table_from_anf(anf))
         got.append(cover_coefficient_from_spectrum(spec, u0))
     if not got:
@@ -368,7 +367,7 @@ def check_block_pair(sanf, verify=True):
     )
     if report:
         return report
-    if n <= _DIRECT_N_MAX:
+    if n <= _ARRAY_N_MAX:
         from .rotsym import sanf_truth_table
 
         if not is_bent(sanf_truth_table(sanf)):

@@ -29,11 +29,6 @@ def rotate(u, l, n):
     return ((u << l) | (u >> (n - l))) & ((1 << n) - 1)
 
 
-def or_combine(u, v):
-    """Componentwise OR of two masks: zero only where both are zero."""
-    return u | v
-
-
 def cycle_length(u, n):
     """Smallest l >= 1 with rotate(u, l, n) == u; always a divisor of n."""
     for l in sorted(d for d in range(1, n + 1) if n % d == 0):

@@ -2,17 +2,17 @@
 
 A degree-d candidate space on n variables is the set of nonempty subsets of
 the weight-d orbit representatives, walked in Gray-code order so that each
-step toggles a single orbit in a packed-integer truth table.  Two modes:
-
-  early-abort  keep only the truth-table weight per step and run the full
-               spectral test on the rare candidates whose weight matches a
-               bent function's; right verdicts, much less work per step
-  full         batched Walsh transforms over numpy blocks
+step toggles a single orbit in a packed-integer truth table.  Each step keeps
+only the table weight; the full spectral test runs on the rare candidates
+whose weight matches a bent function's (W(0) = 2^n - 2 * weight must be
++-2^(n/2)), and every hit is re-derived and re-tested independently before it
+is released.  Odd n has no bent functions, so its walk only counts.
 
 Large spaces must be split into shards (contiguous Gray-index ranges that
 partition the space) or explicitly marked long-running; a budget guard
-refuses oversized single calls otherwise.  Long runs append JSON-lines
-checkpoint records after each internal chunk.
+refuses oversized single calls otherwise.  Checkpoint records are JSON lines:
+a result's `as_dict()` plus the Gray range it covers, a parameter hash and
+the elapsed seconds.
 """
 
 import hashlib
@@ -28,25 +28,28 @@ from .covercoef import CAPACITY, bent_by_valuation
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import is_bent_degree2_rots, is_bent_quadratic
 from .nonexistence import NOT_BENT, all_checks
-from .rotsym import Sanf, enumerate_orbit_reps, format_sanf, orbit_expand, sanf_truth_table
+from .rotsym import (
+    Sanf,
+    enumerate_orbit_reps,
+    format_sanf,
+    orbit_count,
+    orbit_expand,
+    sanf_truth_table,
+)
 from .walsh import is_bent, is_bent_early_abort
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK = 1 << 20
-_MODES = ("full", "early-abort")
 
 
 @dataclass(frozen=True)
 class SearchTask:
     n: int
     d: int
-    mode: str = "early-abort"
     shard: object = None  # (index, total) or None for the whole space
     long_run: bool = False
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
         if self.shard is not None:
             i, t = self.shard
             if not (t >= 1 and 0 <= i < t):
@@ -63,7 +66,6 @@ class SearchResult:
         return {
             "n": self.task.n,
             "d": self.task.d,
-            "mode": self.task.mode,
             "shard": list(self.task.shard) if self.task.shard else None,
             "candidates_tested": self.candidates,
             "bent": [format_sanf(s) for s in self.bent],
@@ -95,9 +97,36 @@ def _subset_sanf(n, reps, subset):
     return Sanf(n, chosen)
 
 
+def _shard_range(task, r):
+    """Gray indices [lo, hi) of the task's shard of the 2^r - 1 candidates."""
+    total = (1 << r) - 1
+    if task.shard is None:
+        return 1, total + 1
+    i, t = task.shard
+    return 1 + (total * i) // t, 1 + (total * (i + 1)) // t
+
+
 def _params_hash(task, budget):
-    text = f"{task.n}|{task.d}|{task.mode}|{task.shard}|{budget}"
+    text = f"{task.n}|{task.d}|{task.shard}|{budget}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def append_checkpoint(path, result, budget, started, span=None):
+    """Append one JSON-lines record of `result` to the checkpoint file.
+
+    `span` is the Gray range [lo, hi) the record covers, by default the whole
+    of the task's shard; `started` is the perf_counter reading of the run start.
+    """
+    if span is None:
+        span = _shard_range(result.task, orbit_count(result.task.n, result.task.d))
+    record = result.as_dict()
+    record.update(
+        range=list(span),
+        params_hash=_params_hash(result.task, budget),
+        elapsed_s=round(time.perf_counter() - started, 3),
+    )
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _confirm_bent(n, reps, subset):
@@ -134,38 +163,6 @@ def _walk_early_abort(n, tables, lo, hi, targets):
     return hits
 
 
-def _walk_full(n, table_matrix, lo, hi):
-    """Batched spectral test over subset indices [lo, hi); yields bent subsets."""
-    r = table_matrix.shape[0]
-    if r > 62:
-        raise CapacityError("full mode supports at most 62 orbits")
-    size = 1 << n
-    dtype = np.int16 if n <= 14 else np.int32
-    batch = max(1, (1 << 25) // (size * dtype().itemsize))
-    target = 1 << (n // 2) if n % 2 == 0 else None
-    hits = []
-    shifts = np.arange(r, dtype=np.int64)
-    for start in range(lo, hi, batch):
-        stop = min(start + batch, hi)
-        js = np.arange(start, stop, dtype=np.int64)
-        subsets = js ^ (js >> 1)
-        picks = ((subsets[:, None] >> shifts) & 1).astype(np.uint8)
-        tables = (picks @ table_matrix) & 1
-        if target is None:
-            continue  # odd n: nothing can pass, counting is all that remains
-        spectra = (1 - 2 * tables.astype(dtype))
-        h = 1
-        while h < size:
-            view = spectra.reshape(-1, 2 * h)
-            left = view[:, :h].copy()
-            view[:, :h] += view[:, h:]
-            view[:, h:] = left - view[:, h:]
-            h *= 2
-        ok = np.all(np.abs(spectra) == target, axis=1)
-        hits.extend(int(subsets[i]) for i in np.nonzero(ok)[0])
-    return hits
-
-
 def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
     """Run one search task; returns a SearchResult with re-verified hits.
 
@@ -173,16 +170,9 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
     task is not marked long-running; the message names a sufficient shard
     count.  With a checkpoint path, appends one JSON line per finished chunk.
     """
-    n, d = task.n, task.d
-    reps = enumerate_orbit_reps(n, d)
-    r = len(reps)
-    total = (1 << r) - 1
-    if task.shard is None:
-        lo, hi = 1, total + 1
-    else:
-        i, t = task.shard
-        lo = 1 + (total * i) // t
-        hi = 1 + (total * (i + 1)) // t
+    n = task.n
+    reps = enumerate_orbit_reps(n, task.d)
+    lo, hi = _shard_range(task, len(reps))
     count = hi - lo
     if count > budget and not task.long_run:
         shards = math.ceil(count / budget)
@@ -197,39 +187,24 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
         targets = frozenset({((1 << n) - half) // 2, ((1 << n) + half) // 2})
     else:
         targets = frozenset()
-    if task.mode == "full":
-        matrix = np.array(
-            [sanf_truth_table(Sanf(n, (rep,))).bits for rep in reps], dtype=np.uint8
-        )
 
     hits = []
-    tested = 0
-    stamp = _params_hash(task, budget)
     started = time.perf_counter()
     for chunk_lo in range(lo, hi, _CHUNK):
         chunk_hi = min(chunk_lo + _CHUNK, hi)
-        if task.mode == "early-abort":
-            hits.extend(_walk_early_abort(n, tables, chunk_lo, chunk_hi, targets))
-        else:
-            hits.extend(_walk_full(n, matrix, chunk_lo, chunk_hi))
-        tested += chunk_hi - chunk_lo
+        hits.extend(_walk_early_abort(n, tables, chunk_lo, chunk_hi, targets))
         if checkpoint_path is not None:
-            record = {
-                "n": n,
-                "d": d,
-                "mode": task.mode,
-                "shard": list(task.shard) if task.shard else None,
-                "range": [chunk_lo, chunk_hi],
-                "candidates_tested": tested,
-                "bent": [format_sanf(_subset_sanf(n, reps, s)) for s in sorted(hits)],
-                "params_hash": stamp,
-                "elapsed_s": round(time.perf_counter() - started, 3),
-            }
-            with open(checkpoint_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            so_far = tuple(_subset_sanf(n, reps, s) for s in sorted(hits))
+            append_checkpoint(
+                checkpoint_path,
+                SearchResult(task, chunk_hi - lo, so_far),
+                budget,
+                started,
+                (chunk_lo, chunk_hi),
+            )
 
     bent = tuple(_confirm_bent(n, reps, s) for s in sorted(hits))
-    return SearchResult(task, tested, bent)
+    return SearchResult(task, count, bent)
 
 
 def search_crosscheck(n, d):

@@ -2,15 +2,16 @@
 
 The spectrum entry at c is W(c) = sum_x (-1)^(f(x) + <c,x>) with <c,x> the
 inner product over GF(2).  A function on an even number n of variables is
-bent exactly when |W(c)| = 2^(n/2) for every c.  The butterfly below is the
-standard in-place fast transform; no floating point is involved anywhere.
+bent exactly when |W(c)| = 2^(n/2) for every c.  The spectrum is the
+standard in-place fast transform (the shared butterfly with a signed step);
+no floating point is involved anywhere.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import _check_n
+from .boolfn import _butterfly, _check_n
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,22 +36,17 @@ class WalshSpectrum:
         return self.n == other.n and bool(np.array_equal(self.values, other.values))
 
 
-def _signed_butterfly(a):
-    h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        a[:, :h] += a[:, h:]
-        a[:, h:] = left - a[:, h:]
-        a = a.reshape(-1)
-        h *= 2
-    return a
+def _signed_step(lo, hi):
+    """(lo, hi) <- (lo + hi, lo - hi)."""
+    t = lo.copy()
+    lo += hi
+    np.subtract(t, hi, out=hi)
 
 
 def walsh_spectrum(tt):
     """Fast transform of the sign vector (-1)^f."""
     signs = 1 - 2 * tt.bits.astype(np.int64)
-    return WalshSpectrum(tt.n, _signed_butterfly(signs))
+    return WalshSpectrum(tt.n, _butterfly(signs, _signed_step))
 
 
 def is_bent(tt):

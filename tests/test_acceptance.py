@@ -87,13 +87,13 @@ def test_criterion_2_flagship_pair_rejected_by_both_routes(capsys):
 
 def test_criterion_3_ten_variable_searches_are_empty(capsys):
     start = time.perf_counter()
-    res3 = exhaustive_search(SearchTask(10, 3, "full"))
+    res3 = exhaustive_search(SearchTask(10, 3))
     t3 = time.perf_counter() - start
     assert res3.candidates == 4095 and res3.bent == ()
     assert t3 < 1.0
 
     start = time.perf_counter()
-    res4 = exhaustive_search(SearchTask(10, 4, "early-abort"))
+    res4 = exhaustive_search(SearchTask(10, 4))
     t4 = time.perf_counter() - start
     assert res4.candidates == (1 << 22) - 1 and res4.bent == ()
     assert t4 < 600.0

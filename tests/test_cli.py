@@ -204,6 +204,29 @@ def test_search_threads_env(monkeypatch, capsys):
     assert a["candidates_tested"] == b["candidates_tested"]
 
 
+def test_search_mode_is_an_ignored_alias(capsys):
+    argv = ["search", "-n", "8", "-d", "3", "--format", "json"]
+    plain = run(argv, capsys)
+    full = run(argv + ["--mode", "full"], capsys)
+    assert plain[0] == full[0] == 0
+    a, b = json.loads(plain[1]), json.loads(full[1])
+    assert a["bent"] == b["bent"]
+    assert a["candidates_tested"] == b["candidates_tested"] == 127
+
+
+def test_search_threads_checkpoint_partitions_the_space(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "search.jsonl"
+    monkeypatch.setenv("ROTBENT_THREADS", "2")
+    argv = ["search", "-n", "8", "-d", "3", "--checkpoint", str(path)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["shard"] for r in records] == [[0, 2], [1, 2]]
+    assert [r["range"] for r in records] == [[1, 64], [64, 128]]
+    assert sum(r["candidates_tested"] for r in records) == 127
+    assert len({r["params_hash"] for r in records}) == 2
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2

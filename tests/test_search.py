@@ -1,4 +1,4 @@
-"""Exhaustive subset search: modes, shards, budgets, checkpoints."""
+"""Exhaustive subset search: verdicts, shards, budgets, checkpoints."""
 
 import json
 import re
@@ -18,21 +18,23 @@ from rotbent import (
 
 def test_degree2_search_recovers_the_classification():
     want = {format_sanf(s) for s in classify_degree2(8)}
-    for mode in ("full", "early-abort"):
-        res = exhaustive_search(SearchTask(8, 2, mode))
-        assert res.candidates == 15
-        assert {format_sanf(s) for s in res.bent} == want
+    res = exhaustive_search(SearchTask(8, 2))
+    assert res.candidates == 15
+    assert {format_sanf(s) for s in res.bent} == want
 
 
-def test_modes_agree_on_degree3():
-    full = exhaustive_search(SearchTask(8, 3, "full"))
-    fast = exhaustive_search(SearchTask(8, 3, "early-abort"))
-    assert full.candidates == fast.candidates == 127
-    assert full.bent == fast.bent == ()
+def test_search_matches_the_per_candidate_reference():
+    # search_crosscheck tests every candidate on its own truth table, by
+    # every route, with no Gray walk or weight filter in between.
+    for n, d in ((6, 2), (6, 3), (8, 2), (8, 3)):
+        res = exhaustive_search(SearchTask(n, d))
+        ref = search_crosscheck(n, d)
+        assert res.candidates == ref.candidates, (n, d)
+        assert len(res.bent) == ref.bent_count, (n, d)
 
 
 def test_six_variable_degree3_space_is_empty():
-    res = exhaustive_search(SearchTask(6, 3, "full"))
+    res = exhaustive_search(SearchTask(6, 3))
     assert res.candidates == 15
     assert res.bent == ()
 
@@ -44,11 +46,11 @@ def test_odd_n_runs_and_finds_nothing():
 
 
 def test_shards_partition_the_space():
-    whole = exhaustive_search(SearchTask(8, 3, "full"))
+    whole = exhaustive_search(SearchTask(8, 3))
     tested = 0
     merged = []
     for i in range(4):
-        part = exhaustive_search(SearchTask(8, 3, "full", (i, 4)))
+        part = exhaustive_search(SearchTask(8, 3, (i, 4)))
         tested += part.candidates
         merged.extend(part.bent)
     assert tested == whole.candidates
@@ -74,7 +76,7 @@ def test_checkpoint_records(tmp_path):
     assert lines
     last = lines[-1]
     assert last["n"] == 8 and last["d"] == 3
-    assert last["mode"] == "early-abort" and last["shard"] is None
+    assert last["shard"] is None
     assert last["candidates_tested"] == res.candidates == 127
     assert last["range"] == [1, 128]
     assert re.fullmatch(r"[0-9a-f]{16}", last["params_hash"])
@@ -83,8 +85,6 @@ def test_checkpoint_records(tmp_path):
 
 
 def test_task_validation():
-    with pytest.raises(ValueError):
-        SearchTask(8, 2, "fastest")
     with pytest.raises(ValueError):
         SearchTask(8, 2, shard=(4, 4))
     with pytest.raises(ValueError):
