@@ -75,16 +75,16 @@ class AnfForm:
 
 
 def _butterfly(a, step):
-    """Run the levels of a fast transform over a contiguous 2^n array, in place.
+    """Run a fast transform in place along the 2^n-long last axis of an array.
 
-    At level h = 1, 2, 4, ... the array is seen as blocks of 2h entries, and
-    step(lo, hi) gets the (blocks, h) views of every block's first and second
-    half and must update them in place.  Returns a.  Every transform in this
+    The array is contiguous.  At level h = 1, 2, 4, ... it is seen as blocks of
+    2h entries, and step(lo, hi) gets the (blocks, h) views of every block's
+    halves and must update them in place.  Returns a.  Every transform in this
     package is one such step: XOR (Moebius over GF(2)), add/subtract
     (zeta/Moebius over the integers), and the signed Walsh pair.
     """
     h = 1
-    while h < a.size:
+    while h < a.shape[-1]:
         v = a.reshape(-1, 2, h)
         step(v[:, 0], v[:, 1])
         h *= 2

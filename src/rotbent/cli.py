@@ -9,6 +9,7 @@ processes and merges their results deterministically.
 """
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -224,13 +225,15 @@ def cmd_search(args):
         search = functools.partial(exhaustive_search, budget=args.budget)
         tested = 0
         merged = []
+        stats = collections.Counter()
         with multiprocessing.Pool(threads) as pool:
             for part in pool.imap(search, tasks):
                 tested += part.candidates
                 merged.extend(part.bent)
+                stats.update(part.stats)
                 if args.checkpoint:
                     append_checkpoint(args.checkpoint, part, args.budget, started)
-        result = SearchResult(task, tested, tuple(merged))
+        result = SearchResult(task, tested, tuple(merged), dict(stats))
     else:
         result = exhaustive_search(task, args.budget, args.checkpoint)
     bent = tuple(sorted(result.bent, key=lambda s: s.reps))

@@ -39,10 +39,7 @@ def cycle_length(u, n):
 
 def _rev(u, n):
     """Mask read as the position string u1 u2 ... un, as an integer key."""
-    r = 0
-    for j in range(n):
-        r = (r << 1) | ((u >> j) & 1)
-    return r
+    return int(format(u, f"0{n}b")[::-1], 2)
 
 
 def orbit_masks(u, n):
@@ -52,9 +49,11 @@ def orbit_masks(u, n):
 
 def canonical_rep(u, n):
     """Canonical orbit representative (lexicographically largest position string)."""
-    if u == 0:
-        raise ValueError("the zero mask has no canonical representative")
-    return max(orbit_masks(u, n), key=lambda v: _rev(v, n))
+    _check_n(n)
+    if not 0 < u < 1 << n:
+        raise ValueError(f"mask {u} has no canonical representative for n={n}")
+    r, full = _rev(u, n), (1 << n) - 1  # position strings compare as reversed masks
+    return _rev(max(((r << l) | (r >> (n - l))) & full for l in range(n)), n)
 
 
 def cyclic_run_count(u, n):

@@ -1,12 +1,11 @@
 """Exhaustive search over homogeneous rotation-symmetric functions.
 
 A degree-d candidate space on n variables is the set of nonempty subsets of
-the weight-d orbit representatives, walked in Gray-code order so that each
-step toggles a single orbit in a packed-integer truth table.  Each step keeps
-only the table weight; the full spectral test runs on the rare candidates
-whose weight matches a bent function's (W(0) = 2^n - 2 * weight must be
-+-2^(n/2)), and every hit is re-derived and re-tested independently before it
-is released.  Odd n has no bent functions, so its walk only counts.
+the weight-d orbit representatives, walked in Gray-code order in numpy
+blocks.  A rotation-symmetric function is constant on input rotation orbits,
+so a candidate's table is one bit per orbit (orbit bits).  The W(0) weight
+filter, then a sieve of exact W(c) at a few inputs c, then the full spectral
+test pick the hits, and each hit is rebuilt from its SANF and re-tested.
 
 Large spaces must be split into shards (contiguous Gray-index ranges that
 partition the space) or explicitly marked long-running; a budget guard
@@ -15,15 +14,16 @@ a result's `as_dict()` plus the Gray range it covers, a parameter hash and
 the elapsed seconds.
 """
 
+import collections
 import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import TruthTable
+from .boolfn import TruthTable, _butterfly, _xor_step
 from .covercoef import CAPACITY, bent_by_valuation
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import is_bent_degree2_rots, is_bent_quadratic
@@ -34,12 +34,18 @@ from .rotsym import (
     format_sanf,
     orbit_count,
     orbit_expand,
+    orbit_masks,
+    rotate,
     sanf_truth_table,
 )
 from .walsh import is_bent, is_bent_early_abort
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK = 1 << 20
+_BLOCK_BITS = 12  # a numpy block walks 2^12 Gray indices
+_SIEVE = 8  # input orbits at which W(c) of every W(0) survivor is checked
+_STATS = ("candidates", "weight_survivors", "sieve_survivors", "spectral_tests", "hits")
+_STATS += ("tables_s", "walk_s", "sieve_s", "confirm_s")
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,7 @@ class SearchResult:
     task: SearchTask
     candidates: int
     bent: tuple  # Sanf instances, ordered by subset index
+    stats: dict = field(default_factory=dict, compare=False)  # see exhaustive_search
 
     def as_dict(self):
         return {
@@ -69,6 +76,7 @@ class SearchResult:
             "shard": list(self.task.shard) if self.task.shard else None,
             "candidates_tested": self.candidates,
             "bent": [format_sanf(s) for s in self.bent],
+            "stats": dict(self.stats),
         }
 
 
@@ -81,15 +89,6 @@ class CrosscheckReport:
     valuation_checked: int
     degree2_checked: int
     rules_fired: int
-
-
-def _pack_table(bits):
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _unpack_table(value, n):
-    raw = value.to_bytes(-(-(1 << n) // 8), "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: 1 << n]
 
 
 def _subset_sanf(n, reps, subset):
@@ -139,27 +138,83 @@ def _confirm_bent(n, reps, subset):
     return sanf
 
 
-def _walk_early_abort(n, tables, lo, hi, targets):
-    """Gray walk over subset indices [lo, hi); yields hit subsets."""
-    hits = []
-    subset = lo ^ (lo >> 1)
-    table = 0
-    s = subset
-    while s:
-        low = s & -s
-        table ^= tables[low.bit_length() - 1]
-        s ^= low
-    j = lo
-    while True:
-        if table.bit_count() in targets:
-            if is_bent(TruthTable(n, _unpack_table(table, n))):
-                hits.append(subset)
-        j += 1
-        if j >= hi:
-            break
-        flip = (j & -j).bit_length() - 1
-        subset ^= 1 << flip
-        table ^= tables[flip]
+def _pack(bits):
+    """0/1 entries along the last axis -> little-endian uint64 words."""
+    bits = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(0, -bits.shape[-1] % 64)])
+    return np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little")).view("<u8")
+
+
+class _OrbitTables:
+    """A layer's single-orbit tables on orbit bits, and its sieve rows.
+
+    Row r of `tables` packs representative r's function at each input orbit's
+    least member into uint64 words; column j of `low` (words on axis 0) XORs
+    the first k rows that the Gray code j ^ (j >> 1) picks.  With sieve rows
+    M[c, i] = sum over x in orbit i of (-1)^<c,x>, W(c) = M[c] . (1 - 2 bits).
+    """
+
+    def __init__(self, n, reps):
+        x = np.arange(1 << n, dtype=np.uint32)  # n <= 30
+        least, rot = x.copy(), x
+        for _ in range(n - 1):
+            rot = ((rot << 1) | (rot >> (n - 1))) & ((1 << n) - 1)
+            np.minimum(least, rot, out=least)
+        members = np.flatnonzero(least == x)
+        self.n, self.g, self.index = n, len(members), np.searchsorted(members, least)
+        sizes = np.bincount(self.index)
+        ind = np.zeros((len(reps), 1 << n), dtype=np.uint8)
+        for r, rep in enumerate(reps):
+            ind[r, orbit_masks(rep, n)] = 1
+        self.tables = _pack(_butterfly(ind, _xor_step)[:, members])
+        self.k = min(len(reps), _BLOCK_BITS)
+        low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
+        for i in range(self.k):  # reflected Gray code: the second half mirrors the first
+            low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
+        self.classes = [(s, _pack(sizes == s)[:, None]) for s in set(sizes.tolist())]
+        self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
+        self.coords = members[np.linspace(1, self.g - 1, _SIEVE).astype(np.int64)]
+        rots = [[[rotate(c, l, n)] for l in range(n)] for c in self.coords.tolist()]
+        odd = [(np.bitwise_count(np.array(r) & members) & 1).sum(axis=0) for r in rots]
+        self.sieve = (n - 2 * np.array(odd, dtype=np.int64)) * sizes // n
+
+    def weight(self, rows):
+        """Table weight of each packed table (words on axis 0)."""
+        pops = ((s, np.bitwise_count(rows & cls)) for s, cls in self.classes)
+        return sum(s * np.add.reduce(p, axis=0, dtype=np.int64) for s, p in pops)
+
+    def sieve_spectrum(self, rows):
+        """0/1 orbit bits of packed tables (words on axis 0) and their W at `coords`."""
+        bits = np.unpackbits(rows.T.copy().view(np.uint8), -1, self.g, "little")
+        return bits, self.sieve.sum(axis=1) - 2 * (bits.astype(np.int64) @ self.sieve.T)
+
+
+def _walk(orb, reps, lo, hi, stats):
+    """Gray walk over subset indices [lo, hi) in numpy blocks; returns hit subsets.
+
+    The Gray code is linear over XOR, so index j0 + off has j0's table XOR
+    column off of `orb.low`.  The first sieve negative is re-tested from its SANF.
+    """
+    n, k, clock = orb.n, orb.k, time.perf_counter
+    hits, rejected = [], []
+    for j0 in range(lo >> k << k, hi, 1 << k):
+        t0, start, base = clock(), max(lo - j0, 0), j0 ^ (j0 >> 1)
+        picked = orb.tables[[i for i in range(base.bit_length()) if base >> i & 1]]
+        rows = orb.low[:, start : hi - j0] ^ np.bitwise_xor.reduce(picked)[:, None]
+        keep = np.flatnonzero(np.abs((1 << n) - 2 * orb.weight(rows)) == orb.bent)
+        t1 = clock()
+        bits, values = orb.sieve_spectrum(rows[:, keep])
+        passed = np.all(np.abs(values) == orb.bent, axis=1)
+        subsets = [base ^ off ^ (off >> 1) for off in (keep + start).tolist()]
+        tested = np.flatnonzero(passed)
+        hits += [subsets[i] for i in tested if is_bent(TruthTable(n, bits[i][orb.index]))]
+        rejected = rejected or [subsets[i] for i in np.flatnonzero(~passed)[:1]]
+        stats.update(weight_survivors=keep.size, sieve_survivors=tested.size)
+        stats.update(spectral_tests=tested.size, walk_s=t1 - t0, sieve_s=clock() - t1)
+    for subset in rejected:
+        t0, sanf = clock(), _subset_sanf(n, reps, subset)
+        if is_bent(sanf_truth_table(sanf)):
+            raise InternalInconsistencyError(f"sieve rejected bent {format_sanf(sanf)}")
+        stats.update(spectral_tests=1, sieve_s=clock() - t0)
     return hits
 
 
@@ -169,6 +224,8 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
     Raises CapacityError when the candidate count exceeds the budget and the
     task is not marked long-running; the message names a sufficient shard
     count.  With a checkpoint path, appends one JSON line per finished chunk.
+    `stats` counts candidates, W(0) and sieve survivors, full spectral tests
+    (one re-tested sieve negative per chunk included) and hits, and times stages.
     """
     n = task.n
     reps = enumerate_orbit_reps(n, task.d)
@@ -181,30 +238,28 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
             f"split into at least {shards} shards or mark the task long-running"
         )
 
-    tables = [_pack_table(sanf_truth_table(Sanf(n, (rep,))).bits) for rep in reps]
-    if n % 2 == 0:
-        half = 1 << (n // 2)
-        targets = frozenset({((1 << n) - half) // 2, ((1 << n) + half) // 2})
-    else:
-        targets = frozenset()
-
-    hits = []
     started = time.perf_counter()
+    stats = collections.Counter(dict.fromkeys(_STATS, 0))  # update() adds
+    orb = _OrbitTables(n, reps)
+    stats.update(tables_s=time.perf_counter() - started)
+    hits = []
     for chunk_lo in range(lo, hi, _CHUNK):
         chunk_hi = min(chunk_lo + _CHUNK, hi)
-        hits.extend(_walk_early_abort(n, tables, chunk_lo, chunk_hi, targets))
+        hits.extend(_walk(orb, reps, chunk_lo, chunk_hi, stats))
+        stats["candidates"] = chunk_hi - lo
         if checkpoint_path is not None:
             so_far = tuple(_subset_sanf(n, reps, s) for s in sorted(hits))
+            stats["hits"] = len(so_far)
+            result = SearchResult(task, chunk_hi - lo, so_far, dict(stats))
             append_checkpoint(
-                checkpoint_path,
-                SearchResult(task, chunk_hi - lo, so_far),
-                budget,
-                started,
-                (chunk_lo, chunk_hi),
+                checkpoint_path, result, budget, started, (chunk_lo, chunk_hi)
             )
 
+    t0 = time.perf_counter()
     bent = tuple(_confirm_bent(n, reps, s) for s in sorted(hits))
-    return SearchResult(task, count, bent)
+    stats.update(confirm_s=time.perf_counter() - t0)
+    stats["hits"] = len(bent)
+    return SearchResult(task, count, bent, dict(stats))
 
 
 def search_crosscheck(n, d):

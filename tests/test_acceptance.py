@@ -96,6 +96,7 @@ def test_criterion_3_ten_variable_searches_are_empty(capsys):
     res4 = exhaustive_search(SearchTask(10, 4))
     t4 = time.perf_counter() - start
     assert res4.candidates == (1 << 22) - 1 and res4.bent == ()
+    assert res4.stats["weight_survivors"] == 78116
     assert t4 < 600.0
 
     # Degree 5 stays behind the long-run flag at the default budget.

@@ -202,6 +202,8 @@ def test_search_threads_env(monkeypatch, capsys):
     a, b = json.loads(plain[1]), json.loads(threaded[1])
     assert a["bent"] == b["bent"]
     assert a["candidates_tested"] == b["candidates_tested"]
+    counts = ("candidates", "weight_survivors", "sieve_survivors", "hits")
+    assert [a["stats"][k] for k in counts] == [b["stats"][k] for k in counts] == [15, 8, 8, 8]
 
 
 def test_search_mode_is_an_ignored_alias(capsys):

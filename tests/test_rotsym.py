@@ -27,6 +27,7 @@ from rotbent import (
     sanf_from_masks,
     sanf_truth_table,
 )
+from rotbent.rotsym import _rev
 
 
 def necklaces_burnside(n, w):
@@ -98,6 +99,17 @@ def test_canonical_rep():
         assert c & 1
         for s in range(n):
             assert canonical_rep(rotate(u, s, n), n) == c
+
+
+def test_canonical_rep_matches_the_orbit_definition():
+    # The definition: the rotation whose position string is largest.
+    for n in range(1, 13):
+        for u in range(1, 1 << n):
+            want = max(orbit_masks(u, n), key=lambda v: _rev(v, n))
+            assert canonical_rep(u, n) == want, (u, n)
+    for bad in (0, 1 << 5, -1):
+        with pytest.raises(ValueError):
+            canonical_rep(bad, 5)
 
 
 def test_cycle_length():

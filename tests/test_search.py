@@ -2,25 +2,41 @@
 
 import json
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotbent import (
     CapacityError,
+    InternalInconsistencyError,
+    Sanf,
     SearchTask,
     classify_degree2,
+    enumerate_orbit_reps,
     exhaustive_search,
     format_sanf,
     orbit_count,
+    sanf_truth_table,
     search_crosscheck,
+    walsh_spectrum,
 )
+from rotbent import search
+from rotbent.cli import main
+
+# stats counts that partition with the candidate space
+_ADDITIVE = ("candidates", "weight_survivors", "sieve_survivors", "hits")
 
 
 def test_degree2_search_recovers_the_classification():
-    want = {format_sanf(s) for s in classify_degree2(8)}
-    res = exhaustive_search(SearchTask(8, 2))
-    assert res.candidates == 15
-    assert {format_sanf(s) for s in res.bent} == want
+    for n in (8, 10, 12, 14):
+        want = {format_sanf(s) for s in classify_degree2(n)}
+        res = exhaustive_search(SearchTask(n, 2))
+        assert res.candidates == (1 << (n // 2)) - 1, n
+        assert {format_sanf(s) for s in res.bent} == want, n
+        assert res.stats["hits"] == len(want), n
 
 
 def test_search_matches_the_per_candidate_reference():
@@ -46,15 +62,71 @@ def test_odd_n_runs_and_finds_nothing():
 
 
 def test_shards_partition_the_space():
-    whole = exhaustive_search(SearchTask(8, 3))
-    tested = 0
-    merged = []
-    for i in range(4):
-        part = exhaustive_search(SearchTask(8, 3, (i, 4)))
-        tested += part.candidates
-        merged.extend(part.bent)
-    assert tested == whole.candidates
-    assert sorted(s.reps for s in merged) == sorted(s.reps for s in whole.bent)
+    for n, d in ((8, 3), (8, 2), (12, 3)):
+        whole = exhaustive_search(SearchTask(n, d))
+        tested = 0
+        merged = []
+        counts = Counter()
+        for i in range(4):
+            part = exhaustive_search(SearchTask(n, d, (i, 4)))
+            tested += part.candidates
+            merged.extend(part.bent)
+            counts.update({k: part.stats[k] for k in _ADDITIVE})
+        assert tested == whole.candidates
+        assert sorted(s.reps for s in merged) == sorted(s.reps for s in whole.bent)
+        assert counts == {k: whole.stats[k] for k in _ADDITIVE}, (n, d)
+
+
+def test_search_stats():
+    res = exhaustive_search(SearchTask(12, 3))
+    stats = res.stats
+    assert list(stats) == list(search._STATS)
+    assert stats["candidates"] == res.candidates == (1 << 19) - 1
+    assert stats["weight_survivors"] == 32878
+    assert 0 <= stats["hits"] <= stats["sieve_survivors"] < stats["weight_survivors"]
+    # one re-tested sieve negative per chunk of 2^20 indices on top
+    assert stats["spectral_tests"] == stats["sieve_survivors"] + 1
+    assert all(stats[k] >= 0.0 for k in ("tables_s", "walk_s", "sieve_s", "confirm_s"))
+    # counters and timings are not part of a result's identity
+    assert exhaustive_search(SearchTask(8, 2)) == exhaustive_search(SearchTask(8, 2))
+
+
+def test_sieve_negative_that_is_bent_is_an_inconsistency(monkeypatch):
+    # A sieve that rejects everything rejects bent functions too; the
+    # per-chunk re-test from the SANF must catch it.
+    real = search._OrbitTables.sieve_spectrum
+
+    def reject_all(self, rows):
+        bits, values = real(self, rows)
+        return bits, np.zeros_like(values)
+
+    monkeypatch.setattr(search._OrbitTables, "sieve_spectrum", reject_all)
+    with pytest.raises(InternalInconsistencyError, match="sieve rejected bent"):
+        exhaustive_search(SearchTask(8, 2))
+    assert main(["search", "-n", "8", "-d", "2"]) == 3
+
+
+# every orbit representative, of any weight, for even n <= 12
+_EVEN_REPS = {
+    n: [r for w in range(1, n + 1) for r in enumerate_orbit_reps(n, w)]
+    for n in range(2, 13, 2)
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orbit_bits_give_weight_and_sieve_values(data):
+    n = data.draw(st.sampled_from(sorted(_EVEN_REPS)))
+    pool = st.sampled_from(_EVEN_REPS[n])
+    reps = data.draw(st.lists(pool, min_size=1, max_size=8, unique=True))
+    sanf = Sanf(n, tuple(reps))
+    tt = sanf_truth_table(sanf)
+    orb = search._OrbitTables(n, sanf.reps)
+    row = np.bitwise_xor.reduce(orb.tables, axis=0)
+    bits, values = orb.sieve_spectrum(row[:, None])
+    assert np.array_equal(bits[0][orb.index], tt.bits)
+    assert orb.weight(row[:, None])[0] == tt.weight
+    assert np.array_equal(values[0], walsh_spectrum(tt).values[orb.coords])
 
 
 def test_budget_error_names_the_shard_count():
@@ -82,6 +154,8 @@ def test_checkpoint_records(tmp_path):
     assert re.fullmatch(r"[0-9a-f]{16}", last["params_hash"])
     assert last["elapsed_s"] >= 0
     assert last["bent"] == []
+    assert last["stats"]["candidates"] == 127
+    assert set(last["stats"]) == set(search._STATS)
 
 
 def test_task_validation():
@@ -99,6 +173,7 @@ def test_result_serialization():
     assert d["n"] == 6 and d["d"] == 2
     assert d["candidates_tested"] == 7
     assert d["bent"] == ["x1x4", "x1x2+x1x3+x1x4"]
+    assert d["stats"]["candidates"] == 7 and d["stats"]["hits"] == 2
 
 
 def test_crosscheck_degree2():
