@@ -19,13 +19,16 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .covercoef import (
     CAPACITY,
+    _popcounts,
+    _valuations,
     all_cover_coefficients,
     bent_by_valuation,
     cover_coefficient,
     cover_coefficient_from_spectrum,
-    two_adic_valuation,
 )
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import classify_degree2
@@ -144,21 +147,18 @@ def cmd_hcoeff(args):
     sanf = parse_sanf(args.sanf, n)
     monos = sorted(orbit_expand(sanf).monomials)
     if args.all_u:
-        harr = all_cover_coefficients(monos, n)
-        order = sorted(range(1 << n), key=lambda u: (u.bit_count(), u))
-        rows = [
-            {
-                "u": mask_to_bits(u, n),
-                "value": int(harr[u]),
-                "v2": _v2_text(two_adic_valuation(int(harr[u]))),
-            }
-            for u in order
-        ]
+        order = np.lexsort((np.arange(1 << n), _popcounts(n)))  # weight, then value
+        harr = all_cover_coefficients(monos, n)[order]
+        bits = np.stack([(order >> j & 1).astype(np.uint8) for j in range(n)], 1)
+        masks = (bits + ord("0")).view(f"S{n}").ravel().astype(f"U{n}").tolist()  # u1...un
+        v2 = _valuations(harr).astype(object)
+        v2[harr == 0] = "inf"
+        cols = zip(masks, harr.tolist(), v2.tolist())
+        rows = [{"u": u, "value": h, "v2": v} for u, h, v in cols]
         if args.format == "json":
             print(json.dumps({"n": n, "sanf": format_sanf(sanf), "values": rows}))
         else:
-            for row in rows:
-                print(f"u={row['u']} value={row['value']} v2={row['v2']}")
+            print("\n".join(f"u={r['u']} value={r['value']} v2={r['v2']}" for r in rows))
         return 0
     u = bits_to_mask(args.u, n)
     if len(monos) <= CAPACITY:

@@ -75,15 +75,17 @@ def all_cover_coefficients(monomials, n):
     Uses the exact identity H(u) = sum_{v subset u} (-1)^(|u|-|v|) (-1)^c(v)
     with c(v) the number of list monomials contained in v, which equals the
     literal subset sum term by term.  No capacity cap: cost is O(n 2^n).
+    Only the parity of c(v) is used, so the count runs in uint8 (a wrap keeps
+    the parity); the Moebius step runs in int32, exact since every partial
+    sum is bounded by 2^n <= 2^20 (`_ARRAY_N_MAX`).  Returns int64.
     """
     if n > _ARRAY_N_MAX:
         raise CapacityError(f"full coefficient array needs n <= {_ARRAY_N_MAX}")
-    cnt = np.zeros(1 << n, dtype=np.int64)
-    for m in monomials:
-        cnt[m] += 1
+    cnt = np.zeros(1 << n, dtype=np.uint8)
+    np.add.at(cnt, np.fromiter(monomials, dtype=np.intp), 1)
     _butterfly(cnt, _zeta_add)
-    signs = np.where(cnt & 1, -1, 1).astype(np.int64)
-    return _butterfly(signs, _mobius_sub)
+    signs = 1 - 2 * (cnt & 1).astype(np.int32)
+    return _butterfly(signs, _mobius_sub).astype(np.int64)
 
 
 def _walk(sub, u):

@@ -17,8 +17,9 @@ cross-checked in the tests:
 
 from itertools import combinations
 
-from .rotsym import Sanf, positions, rotate
 from .boolfn import algebraic_degree
+from .errors import InternalInconsistencyError
+from .rotsym import Sanf, positions, rotate
 
 
 def gf2_degree(p):
@@ -92,16 +93,15 @@ def rots_quadratic_poly(sanf):
     """Row polynomial of the degree-2 SANF: sum of x^(e-1) + x^(n+1-e).
 
     The self-paired representative e = n/2 + 1 contributes the single term
-    x^(n/2); distinct representatives touch disjoint exponent pairs.
+    x^(n/2); distinct representatives touch disjoint exponent pairs, so the
+    sum of the terms is their XOR.
     """
-    n = sanf.n
-    p = 0
-    for e in _deg2_e_values(sanf):
-        if e == n // 2 + 1:
-            p ^= 1 << (n // 2)
-        else:
-            p ^= (1 << (e - 1)) | (1 << (n + 1 - e))
-    return p
+    return sum(_e_term(e, sanf.n) for e in _deg2_e_values(sanf))
+
+
+def _e_term(e, n):
+    """Row-polynomial term of the representative x1 x_e."""
+    return 1 << (n // 2) if e == n // 2 + 1 else (1 << (e - 1)) | (1 << (n + 1 - e))
 
 
 def is_bent_degree2_rots(sanf):
@@ -151,16 +151,20 @@ def classify_degree2(n):
     """All bent homogeneous degree-2 rotation-symmetric functions on n variables.
 
     Tries every nonempty subset of e-values in [2, n/2+1] through the gcd
-    route; output is ordered by subset size, then lexicographically.
+    route on its row polynomial; only the coprime ones become a `Sanf`, which
+    is re-tested by `is_bent_degree2_rots`.  Output is ordered by subset
+    size, then lexicographically.
     """
     if n % 2 or n < 2:
         raise ValueError("classification needs even n >= 2")
-    evals = range(2, n // 2 + 2)
+    terms = {e: _e_term(e, n) for e in range(2, n // 2 + 2)}
     found = []
-    for size in range(1, len(evals) + 1):
-        for combo in combinations(evals, size):
-            reps = tuple((1 << 0) | (1 << (e - 1)) for e in combo)
-            sanf = Sanf(n, reps)
-            if is_bent_degree2_rots(sanf):
-                found.append(sanf)
+    for size in range(1, len(terms) + 1):
+        for combo in combinations(terms, size):
+            if gf2_gcd(sum(terms[e] for e in combo), (1 << n) | 1) != 1:
+                continue
+            sanf = Sanf(n, tuple(1 | (1 << (e - 1)) for e in combo))
+            if not is_bent_degree2_rots(sanf):
+                raise InternalInconsistencyError(f"gcd routes disagree on {sanf}")
+            found.append(sanf)
     return found

@@ -18,6 +18,7 @@ test finds bent.  The test suite sweeps this over every homogeneous degree-3
 SANF on 6, 8 and 10 variables.
 """
 
+import weakref
 from dataclasses import dataclass
 
 from .boolfn import truth_table_from_anf
@@ -40,6 +41,7 @@ from .walsh import is_bent, walsh_spectrum
 
 NOT_BENT = "NOT_BENT"
 INCONCLUSIVE = "INCONCLUSIVE"
+_SPECTRA = weakref.WeakKeyDictionary()  # Sanf -> its spectrum for witness checks
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,9 @@ def _witness_value(sanf, u0):
     if len(monos) <= CAPACITY:
         got.append(cover_coefficient(monos, u0))
     if n % 2 == 0 and n <= _ARRAY_N_MAX:
-        spec = walsh_spectrum(truth_table_from_anf(anf))
+        spec = _SPECTRA.get(sanf)
+        if spec is None:
+            spec = _SPECTRA[sanf] = walsh_spectrum(truth_table_from_anf(anf))
         got.append(cover_coefficient_from_spectrum(spec, u0))
     if not got:
         raise CapacityError(

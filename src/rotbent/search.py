@@ -5,7 +5,8 @@ the weight-d orbit representatives, walked in Gray-code order in numpy
 blocks.  A rotation-symmetric function is constant on input rotation orbits,
 so a candidate's table is one bit per orbit (orbit bits).  The W(0) weight
 filter, then a sieve of exact W(c) at a few inputs c, then the full spectral
-test pick the hits, and each hit is rebuilt from its SANF and re-tested.
+test pick the hits; that test runs on the table rebuilt from the SANF, after
+checking that it equals the orbit bits.
 
 Large spaces must be split into shards (contiguous Gray-index ranges that
 partition the space) or explicitly marked long-running; a budget guard
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import TruthTable, _butterfly, _xor_step
+from .boolfn import _butterfly, _xor_step
 from .covercoef import CAPACITY, bent_by_valuation
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import is_bent_degree2_rots, is_bent_quadratic
@@ -128,14 +129,18 @@ def append_checkpoint(path, result, budget, started, span=None):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _confirm_bent(n, reps, subset):
-    """Independent reconstruction of a hit; guards the packed-walk bookkeeping."""
+def _confirm_bent(n, reps, subset, bits):
+    """The Sanf of a sieve survivor if bent, else None; its table must equal `bits`.
+
+    Rebuilding the table from the SANF guards the packed-walk bookkeeping.
+    """
     sanf = _subset_sanf(n, reps, subset)
-    if not is_bent(sanf_truth_table(sanf)):
+    tt = sanf_truth_table(sanf)
+    if not np.array_equal(tt.bits, bits):
         raise InternalInconsistencyError(
-            f"search hit fails independent spectral test: {format_sanf(sanf)}"
+            f"orbit bits disagree with the table of {format_sanf(sanf)}"
         )
-    return sanf
+    return sanf if is_bent(tt) else None
 
 
 def _pack(bits):
@@ -161,7 +166,14 @@ class _OrbitTables:
             np.minimum(least, rot, out=least)
         members = np.flatnonzero(least == x)
         self.n, self.g, self.index = n, len(members), np.searchsorted(members, least)
+        del x, least, rot  # 2^n-entry temporaries, freed before the tables are built
         sizes = np.bincount(self.index)
+        self.classes = [(s, _pack(sizes == s)[:, None]) for s in set(sizes.tolist())]
+        self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
+        self.coords = members[np.linspace(1, self.g - 1, _SIEVE).astype(np.int64)]
+        rots = [[[rotate(c, l, n)] for l in range(n)] for c in self.coords.tolist()]
+        odd = [(np.bitwise_count(np.array(r) & members) & 1).sum(axis=0) for r in rots]
+        self.sieve = (n - 2 * np.array(odd, dtype=np.int64)) * sizes // n
         ind = np.zeros((len(reps), 1 << n), dtype=np.uint8)
         for r, rep in enumerate(reps):
             ind[r, orbit_masks(rep, n)] = 1
@@ -170,12 +182,6 @@ class _OrbitTables:
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
             low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
-        self.classes = [(s, _pack(sizes == s)[:, None]) for s in set(sizes.tolist())]
-        self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
-        self.coords = members[np.linspace(1, self.g - 1, _SIEVE).astype(np.int64)]
-        rots = [[[rotate(c, l, n)] for l in range(n)] for c in self.coords.tolist()]
-        odd = [(np.bitwise_count(np.array(r) & members) & 1).sum(axis=0) for r in rots]
-        self.sieve = (n - 2 * np.array(odd, dtype=np.int64)) * sizes // n
 
     def weight(self, rows):
         """Table weight of each packed table (words on axis 0)."""
@@ -185,11 +191,15 @@ class _OrbitTables:
     def sieve_spectrum(self, rows):
         """0/1 orbit bits of packed tables (words on axis 0) and their W at `coords`."""
         bits = np.unpackbits(rows.T.copy().view(np.uint8), -1, self.g, "little")
-        return bits, self.sieve.sum(axis=1) - 2 * (bits.astype(np.int64) @ self.sieve.T)
+        prod = np.empty((len(bits), _SIEVE), dtype=np.int64)
+        step = max(1, (1 << 17) // self.g)  # int64 casts of at most 1 MiB at once
+        for i in range(0, len(bits), step):
+            np.matmul(bits[i : i + step], self.sieve.T, out=prod[i : i + step])
+        return bits, self.sieve.sum(axis=1) - 2 * prod
 
 
 def _walk(orb, reps, lo, hi, stats):
-    """Gray walk over subset indices [lo, hi) in numpy blocks; returns hit subsets.
+    """Gray walk over subset indices [lo, hi) in numpy blocks; returns (subset, Sanf)s.
 
     The Gray code is linear over XOR, so index j0 + off has j0's table XOR
     column off of `orb.low`.  The first sieve negative is re-tested from its SANF.
@@ -206,10 +216,14 @@ def _walk(orb, reps, lo, hi, stats):
         passed = np.all(np.abs(values) == orb.bent, axis=1)
         subsets = [base ^ off ^ (off >> 1) for off in (keep + start).tolist()]
         tested = np.flatnonzero(passed)
-        hits += [subsets[i] for i in tested if is_bent(TruthTable(n, bits[i][orb.index]))]
         rejected = rejected or [subsets[i] for i in np.flatnonzero(~passed)[:1]]
-        stats.update(weight_survivors=keep.size, sieve_survivors=tested.size)
-        stats.update(spectral_tests=tested.size, walk_s=t1 - t0, sieve_s=clock() - t1)
+        t2 = clock()
+        for i in tested.tolist():
+            sanf = _confirm_bent(n, reps, subsets[i], bits[i][orb.index])
+            hits += [(subsets[i], sanf)] if sanf else []
+        m = tested.size
+        stats.update(weight_survivors=keep.size, sieve_survivors=m, spectral_tests=m)
+        stats.update(walk_s=t1 - t0, sieve_s=t2 - t1, confirm_s=clock() - t2)
     for subset in rejected:
         t0, sanf = clock(), _subset_sanf(n, reps, subset)
         if is_bent(sanf_truth_table(sanf)):
@@ -219,7 +233,7 @@ def _walk(orb, reps, lo, hi, stats):
 
 
 def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
-    """Run one search task; returns a SearchResult with re-verified hits.
+    """Run one search task; returns a SearchResult with SANF-confirmed hits.
 
     Raises CapacityError when the candidate count exceeds the budget and the
     task is not marked long-running; the message names a sufficient shard
@@ -247,18 +261,14 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
         chunk_hi = min(chunk_lo + _CHUNK, hi)
         hits.extend(_walk(orb, reps, chunk_lo, chunk_hi, stats))
         stats["candidates"] = chunk_hi - lo
+        stats["hits"] = len(hits)
         if checkpoint_path is not None:
-            so_far = tuple(_subset_sanf(n, reps, s) for s in sorted(hits))
-            stats["hits"] = len(so_far)
+            so_far = tuple(sanf for _, sanf in sorted(hits))
             result = SearchResult(task, chunk_hi - lo, so_far, dict(stats))
             append_checkpoint(
                 checkpoint_path, result, budget, started, (chunk_lo, chunk_hi)
             )
-
-    t0 = time.perf_counter()
-    bent = tuple(_confirm_bent(n, reps, s) for s in sorted(hits))
-    stats.update(confirm_s=time.perf_counter() - t0)
-    stats["hits"] = len(bent)
+    bent = tuple(sanf for _, sanf in sorted(hits))
     return SearchResult(task, count, bent, dict(stats))
 
 

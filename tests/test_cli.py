@@ -4,6 +4,14 @@ import json
 
 import pytest
 
+from rotbent import (
+    all_cover_coefficients,
+    format_sanf,
+    mask_to_bits,
+    orbit_expand,
+    parse_sanf,
+    two_adic_valuation,
+)
 from rotbent.cli import main
 
 
@@ -114,6 +122,26 @@ def test_hcoeff_all_json(capsys):
     assert by_u["11"] == {"u": "11", "value": -2, "v2": 1}
     assert by_u["10"] == {"u": "10", "value": 0, "v2": "inf"}
     assert by_u["00"]["value"] == 1
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [(8, "x1x2x4"), (8, "x1x2+x1x3"), (10, "x1x2x3+x1x2x5"), (10, "x1x6"), (12, "x1x3x4")],
+)
+def test_hcoeff_all_u_matches_a_per_row_reference(n, text, capsys):
+    sanf = parse_sanf(text, n)
+    harr = all_cover_coefficients(sorted(orbit_expand(sanf).monomials), n)
+    rows = []
+    for u in sorted(range(1 << n), key=lambda u: (u.bit_count(), u)):
+        v2 = two_adic_valuation(int(harr[u]))
+        rows.append({"u": mask_to_bits(u, n), "value": int(harr[u]), "v2": v2})
+        if v2 == float("inf"):
+            rows[-1]["v2"] = "inf"
+    want_json = json.dumps({"n": n, "sanf": format_sanf(sanf), "values": rows}) + "\n"
+    want_text = "".join(f"u={r['u']} value={r['value']} v2={r['v2']}\n" for r in rows)
+    argv = ["hcoeff", "-n", str(n), text, "--all-u"]
+    assert run(argv + ["--format", "json"], capsys) == (0, want_json, "")
+    assert run(argv, capsys) == (0, want_text, "")
 
 
 def test_nonexist_proved(capsys):

@@ -139,3 +139,20 @@ def test_inconsistent_spectrum_is_rejected():
         cover_coefficient_from_spectrum(ws, 1)
     with pytest.raises(InternalInconsistencyError):
         all_cover_from_spectrum(ws)
+
+
+def test_repeated_monomials_count_modulo_two():
+    # the count zeta runs in uint8: 256 copies wrap to 0, 257 to 1
+    n, rest, m = 6, [3, 12, 33], 0b010110
+    without = all_cover_coefficients(rest, n)
+    once = all_cover_coefficients(rest + [m], n)
+    assert not np.array_equal(without, once)
+    assert np.array_equal(all_cover_coefficients(rest + [m] * 256, n), without)
+    assert np.array_equal(all_cover_coefficients(rest + [m] * 257, n), once)
+    assert np.array_equal(once, cover_naive(sorted(rest + [m]), n))
+
+
+def test_transforms_return_int64():
+    anf = AnfForm(10, frozenset({7, 96, 513}))
+    assert walsh_spectrum(truth_table_from_anf(anf)).values.dtype == np.int64
+    assert all_cover_coefficients(sorted(anf.monomials), 10).dtype == np.int64

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rotbent import (
+    Sanf,
     circulant_nonsingular,
     classify_degree2,
     format_sanf,
@@ -141,6 +142,20 @@ def test_classify_frozen():
         "x1x3+x1x4+x1x5",
         "x1x2+x1x3+x1x4+x1x5",
     ]
+
+
+def test_classify_matches_the_subset_definition():
+    # the definition: every subset of e-values as a Sanf, kept when its gcd
+    # route says bent
+    for n in range(2, 17, 2):
+        want = []
+        evals = range(2, n // 2 + 2)
+        for size in range(1, len(evals) + 1):
+            for combo in itertools.combinations(evals, size):
+                sanf = Sanf(n, tuple(1 | (1 << (e - 1)) for e in combo))
+                if is_bent_degree2_rots(sanf):
+                    want.append(sanf)
+        assert classify_degree2(n) == want, n
 
 
 def test_classify_members_are_bent():

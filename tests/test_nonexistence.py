@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -28,6 +29,8 @@ from rotbent import (
     sparse_triple_params,
     verify_witness,
 )
+from rotbent import nonexistence
+from rotbent.cli import main
 
 
 def test_profile_block_pair():
@@ -236,6 +239,31 @@ def test_witness_valuation_is_independently_small():
         cv = cover_coefficient(monos, rep.witness_u0)
         assert cv.valuation == rep.claimed_valuation
         assert cv.valuation <= rep.witness_u0.bit_count() - sanf.n // 2
+
+
+def test_witness_checks_share_one_spectrum(monkeypatch, capsys):
+    # x1x2x3 on 12 variables: three rules verify a witness, one spectrum is built
+    spectra, witnesses = [], []
+    real_spectrum, real_verify = nonexistence.walsh_spectrum, nonexistence.verify_witness
+
+    def counting_spectrum(tt):
+        spectra.append(tt.n)
+        return real_spectrum(tt)
+
+    def counting_verify(sanf, report):
+        witnesses.append(report.rule)
+        return real_verify(sanf, report)
+
+    monkeypatch.setattr(nonexistence, "walsh_spectrum", counting_spectrum)
+    monkeypatch.setattr(nonexistence, "verify_witness", counting_verify)
+    argv = ["nonexist", "-n", "12", "x1x2x3", "--format", "json"]
+    assert main(argv) == 0
+    together = json.loads(capsys.readouterr().out)["reports"]
+    assert spectra == [12]
+    assert {"shift-chain", "leading-block", "sparse-triple"} <= set(witnesses)
+    for name, _ in nonexistence.RULES:
+        main(argv + ["--rule", name])
+        assert json.loads(capsys.readouterr().out)["reports"] == {name: together[name]}
 
 
 def test_all_checks_order_and_shape():

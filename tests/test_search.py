@@ -14,6 +14,7 @@ from rotbent import (
     InternalInconsistencyError,
     Sanf,
     SearchTask,
+    TruthTable,
     classify_degree2,
     enumerate_orbit_reps,
     exhaustive_search,
@@ -102,6 +103,22 @@ def test_sieve_negative_that_is_bent_is_an_inconsistency(monkeypatch):
 
     monkeypatch.setattr(search._OrbitTables, "sieve_spectrum", reject_all)
     with pytest.raises(InternalInconsistencyError, match="sieve rejected bent"):
+        exhaustive_search(SearchTask(8, 2))
+    assert main(["search", "-n", "8", "-d", "2"]) == 3
+
+
+def test_orbit_bits_that_disagree_with_the_sanf_table_are_an_inconsistency(monkeypatch):
+    # _confirm_bent compares the orbit-bit table of each sieve survivor with
+    # the table rebuilt from its SANF; a corrupted rebuild must raise
+    real = search.sanf_truth_table
+
+    def flipped(sanf):
+        bits = real(sanf).bits.copy()
+        bits[-1] ^= 1
+        return TruthTable(sanf.n, bits)
+
+    monkeypatch.setattr(search, "sanf_truth_table", flipped)
+    with pytest.raises(InternalInconsistencyError, match="orbit bits disagree"):
         exhaustive_search(SearchTask(8, 2))
     assert main(["search", "-n", "8", "-d", "2"]) == 3
 

@@ -99,3 +99,11 @@ def test_bent_weight_precheck():
             bits = np.array([(word >> i) & 1 for i in range(16)], dtype=np.uint8)
             assert not is_bent(TruthTable(4, bits))
             break
+
+
+def test_zero_function_on_twenty_variables():
+    # the largest W(c) of the int32 butterfly: W(0) = 2^n, every other entry 0
+    values = walsh_spectrum(TruthTable(20, np.zeros(1 << 20, dtype=np.uint8))).values
+    assert values.dtype == np.int64
+    assert values[0] == 1 << 20
+    assert not values[1:].any()
