@@ -154,11 +154,11 @@ def cmd_hcoeff(args):
         v2 = _valuations(harr).astype(object)
         v2[harr == 0] = "inf"
         cols = zip(masks, harr.tolist(), v2.tolist())
-        rows = [{"u": u, "value": h, "v2": v} for u, h, v in cols]
         if args.format == "json":
+            rows = [{"u": u, "value": h, "v2": v} for u, h, v in cols]
             print(json.dumps({"n": n, "sanf": format_sanf(sanf), "values": rows}))
         else:
-            print("\n".join(f"u={r['u']} value={r['value']} v2={r['v2']}" for r in rows))
+            print("\n".join(f"u={u} value={h} v2={v}" for u, h, v in cols))
         return 0
     u = bits_to_mask(args.u, n)
     if len(monos) <= CAPACITY:
@@ -191,7 +191,6 @@ def cmd_nonexist(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
     selected = RULES if args.rule == "all" else [r for r in RULES if r[0] == args.rule]
-    # every rule runs with verify=True: a released witness is already checked
     reports = [(name, fn(sanf)) for name, fn in selected]
     proved = any(rep.verdict == NOT_BENT for _, rep in reports)
     if args.format == "json":
@@ -314,11 +313,6 @@ def build_parser():
     sp = sub.add_parser("search", help="exhaustive search over a degree layer")
     _add_common(sp, with_sanf=False)
     sp.add_argument("-d", "--degree", type=int, required=True, help="homogeneous degree")
-    sp.add_argument(
-        "--mode",
-        choices=("full", "early-abort"),
-        help="ignored: there is one search engine; accepted so old scripts still run",
-    )
     sp.add_argument("--shard", help="INDEX/TOTAL slice of the candidate space")
     sp.add_argument(
         "--budget",

@@ -11,7 +11,9 @@ The rules never trust their own pattern analysis blindly: before a witness
 is emitted, its valuation is recomputed numerically (both cover-coefficient
 routes, which must agree) and the report is only released when the claimed
 valuation is exact and the violation is real.  Pattern edge cases therefore
-degrade to INCONCLUSIVE instead of to an unsound verdict.
+degrade to INCONCLUSIVE instead of to an unsound verdict.  A witness beyond
+numeric reach is released on the structural argument alone and says so:
+its report carries `verified=False`.
 
 Soundness contract: no checker may return NOT_BENT on a function the Walsh
 test finds bent.  The test suite sweeps this over every homogeneous degree-3
@@ -19,7 +21,7 @@ SANF on 6, 8 and 10 variables.
 """
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .boolfn import truth_table_from_anf
 from .covercoef import (
@@ -35,7 +37,9 @@ from .rotsym import (
     mask_to_bits,
     orbit_expand,
     orbit_masks,
+    positions,
     rotate,
+    sanf_truth_table,
 )
 from .walsh import is_bent, walsh_spectrum
 
@@ -55,6 +59,7 @@ class NonexistenceReport:
     witness_k: object = None
     claimed_valuation: object = None
     detail: str = ""
+    verified: object = None  # witness recomputed (True), out of reach (False), or None
 
     def as_dict(self):
         return {
@@ -67,6 +72,7 @@ class NonexistenceReport:
             "witness_k": self.witness_k,
             "claimed_valuation": self.claimed_valuation,
             "detail": self.detail,
+            "verified": self.verified,
         }
 
     def text(self):
@@ -75,6 +81,8 @@ class NonexistenceReport:
             parts.append(f"u0={mask_to_bits(self.witness_u0, self.n)}")
             parts.append(f"k={self.witness_k}")
             parts.append(f"v2={self.claimed_valuation}")
+        if self.verified is False:
+            parts.append("unverified")
         if self.detail:
             parts.append(f"({self.detail})")
         return " ".join(parts)
@@ -131,16 +139,26 @@ def profile(sanf):
 
 def max_index_gap(sanf):
     """Largest gap between consecutive set positions within any representative."""
-    best = 0
-    for r in sanf.reps:
-        pos = [j + 1 for j in range(r.bit_length()) if (r >> j) & 1]
-        for a, b in zip(pos, pos[1:]):
-            best = max(best, b - a)
-    return best
+    gaps = [b - a for pos in map(positions, sanf.reps) for a, b in zip(pos, pos[1:])]
+    return max(gaps, default=0)
 
 
-def _prelim(sanf):
-    """Checks shared by every rule: odd n, and the n/2 degree bound."""
+def _block_and_pair(d):
+    """The masks of x1...xd and x1...x(d-1)x(d+1)."""
+    return (1 << d) - 1, ((1 << (d - 1)) - 1) | (1 << d)
+
+
+def _block_chain(u1, step, k, n):
+    """OR of k rotations of u1 by 0, step, ..., (k-1)*step."""
+    u0 = 0
+    for j in range(k):
+        u0 |= rotate(u1, j * step, n)
+    return u0
+
+
+def _gate(sanf, rule, degree3=True):
+    """Checks shared by the rules: odd n, the n/2 degree bound and, unless
+    `degree3` is off, homogeneous degree >= 3.  None when all pass."""
     n = sanf.n
     if n % 2:
         return NonexistenceReport(
@@ -153,6 +171,11 @@ def _prelim(sanf):
             "degree-bound",
             NOT_BENT,
             detail=f"degree {deg} exceeds the bent bound n/2 = {n // 2}",
+        )
+    d = sanf.homogeneous_degree
+    if degree3 and (d is None or d < 3):
+        return NonexistenceReport(
+            n, rule, INCONCLUSIVE, detail="rule needs homogeneous degree >= 3"
         )
     return None
 
@@ -199,42 +222,30 @@ def verify_witness(sanf, report):
     return violated and cv.valuation == report.claimed_valuation
 
 
-def _try_witness(sanf, rule, u0, k, claimed, detail, verify):
-    """Build a NOT_BENT report, gated on numerical verification when feasible."""
+def _try_witness(sanf, rule, u0, k, claimed, detail):
+    """A NOT_BENT report whose witness is recomputed; None when it fails."""
     report = NonexistenceReport(sanf.n, rule, NOT_BENT, u0, k, claimed, detail)
-    if verify:
-        try:
-            if not verify_witness(sanf, report):
-                return None
-        except CapacityError:
-            pass  # out of verification reach: trust the structural argument
-    return report
+    try:
+        if not verify_witness(sanf, report):
+            return None
+        verified = True
+    except CapacityError:  # out of numeric reach: released on the structural argument
+        verified = False
+    return replace(report, verified=verified)
 
 
-def _needs_degree3(sanf, rule):
-    d = sanf.homogeneous_degree
-    if d is None or d < 3:
-        return NonexistenceReport(
-            sanf.n, rule, INCONCLUSIVE, detail="rule needs homogeneous degree >= 3"
-        )
-    return None
-
-
-def check_shift_chain(sanf, verify=True):
+def check_shift_chain(sanf):
     """Chains of d1-shifted copies of u1 whose cover valuation is too small.
 
     For each chain length k (k*d < n, k*d1 <= n) and each block split of u1,
-    the rule requires that no representative's orbit contains a gap variant
-    of the split blocks (u1 itself is exempt from its gap-0 pattern).  When
+    the rule requires that no monomial of the expanded SANF is a gap variant
+    of the split blocks (other than u1 itself, the gap-0 variant).  When
     the patterns are excluded and k(d-1) >= n/2, the chain u0 has claimed
     valuation k, which breaks the bent criterion.
     """
-    pre = _prelim(sanf)
-    if pre:
-        return pre
-    bad = _needs_degree3(sanf, "shift-chain")
-    if bad:
-        return bad
+    gate = _gate(sanf, "shift-chain")
+    if gate:
+        return gate
     n, d = sanf.n, sanf.homogeneous_degree
     prof = profile(sanf)
     d1, u1 = prof.d1, prof.u1
@@ -243,65 +254,44 @@ def check_shift_chain(sanf, verify=True):
         return NonexistenceReport(
             n, "shift-chain", INCONCLUSIVE, detail="u1 admits no two-block split"
         )
-    orbs = [set(orbit_masks(r, n)) for r in sanf.reps]
-    k = 1
-    while k * d < n and k * d1 <= n:
-        if k * (d - 1) < n // 2:
-            k += 1
-            continue
+    monomials = {m for r in sanf.reps for m in orbit_masks(r, n)}
+    # k runs while k*d < n and k*d1 <= n, from the least k with k(d-1) >= n/2
+    for k in range((n // 2 + d - 2) // (d - 1), min((n - 1) // d, n // d1) + 1):
         for l in splits:
             a, b = u1 & ((1 << l) - 1), u1 >> l
-            excluded = False
-            for rep, orb in zip(sanf.reps, orbs):
-                # gap patterns keep a trailing empty position; the fully
-                # wrapped arrangement is the second family's job (and at
-                # g = n - d1 a contiguous u1 would always self-match)
-                g_lo = 1 if rep == u1 else 0
-                for g in range(g_lo, n - d1):
-                    if a | (b << (l + g)) in orb:
-                        excluded = True
-                        break
-                if excluded:
-                    break
-                if b | (a << (d1 - l + n - k * d1)) in orb:
-                    excluded = True
-                    break
-            if excluded:
+            # gap variants keep a trailing empty position (g = 0 is u1 itself,
+            # and at g = n - d1 a contiguous u1 would always self-match); the
+            # fully wrapped arrangement is the second family
+            variants = [a | (b << (l + g)) for g in range(1, n - d1)]
+            variants.append(b | (a << (d1 - l + n - k * d1)))
+            if any(v in monomials for v in variants):
                 continue
-            u0 = 0
-            for j in range(k):
-                u0 |= rotate(u1, j * d1, n)
             report = _try_witness(
                 sanf,
                 "shift-chain",
-                u0,
+                _block_chain(u1, d1, k, n),
                 k,
                 k,
                 f"k={k} l={l} d1={d1} chain of {format_monomial(u1)}",
-                verify,
             )
             if report:
                 return report
-        k += 1
     return NonexistenceReport(
         n, "shift-chain", INCONCLUSIVE, detail="no chain instantiation fires"
     )
 
 
-def check_leading_block(sanf, verify=True):
+def check_leading_block(sanf):
     """SANF containing x1...xd with every other orbit at least three-block.
 
     The chain witness depends on how d divides n; the n = 2d case uses the
     overlapping two-chain u1 OR rho^(d-1)(u1) covering all but one position.
     """
-    pre = _prelim(sanf)
-    if pre:
-        return pre
-    bad = _needs_degree3(sanf, "leading-block")
-    if bad:
-        return bad
+    gate = _gate(sanf, "leading-block")
+    if gate:
+        return gate
     n, d = sanf.n, sanf.homogeneous_degree
-    block = (1 << d) - 1
+    block, _ = _block_and_pair(d)
     if block not in sanf.reps:
         return NonexistenceReport(
             n, "leading-block", INCONCLUSIVE, detail="no contiguous leading block"
@@ -318,27 +308,17 @@ def check_leading_block(sanf, verify=True):
     if rem:
         k, u0 = q, _block_chain(block, d, q, n)
     elif q == 2:
-        k, u0 = 2, block | rotate(block, d - 1, n)
+        k, u0 = 2, _block_chain(block, d - 1, 2, n)
     else:
         k, u0 = q - 1, _block_chain(block, d, q - 1, n)
-    report = _try_witness(
-        sanf, "leading-block", u0, k, k, f"k={k} chain of {format_monomial(block)}", verify
-    )
-    if report:
-        return report
-    return NonexistenceReport(
+    return _try_witness(
+        sanf, "leading-block", u0, k, k, f"k={k} chain of {format_monomial(block)}"
+    ) or NonexistenceReport(
         n, "leading-block", INCONCLUSIVE, detail="witness did not verify"
     )
 
 
-def _block_chain(u1, step, k, n):
-    u0 = 0
-    for j in range(k):
-        u0 |= rotate(u1, j * step, n)
-    return u0
-
-
-def check_block_pair(sanf, verify=True):
+def check_block_pair(sanf):
     """The exact pair x1...xd + x1...x(d-1)x(d+1), d >= 3: never bent.
 
     The chain witness fires for most n; for the two small escapes (d=3 with
@@ -346,15 +326,11 @@ def check_block_pair(sanf, verify=True):
     to a direct spectral check, still returning NOT_BENT but without witness
     fields.
     """
-    pre = _prelim(sanf)
-    if pre:
-        return pre
-    bad = _needs_degree3(sanf, "block-pair")
-    if bad:
-        return bad
+    gate = _gate(sanf, "block-pair")
+    if gate:
+        return gate
     n, d = sanf.n, sanf.homogeneous_degree
-    block = (1 << d) - 1
-    pair = ((1 << (d - 1)) - 1) | (1 << d)
+    block, pair = _block_and_pair(d)
     if set(sanf.reps) != {block, pair}:
         return NonexistenceReport(
             n, "block-pair", INCONCLUSIVE, detail="SANF is not the block/pair shape"
@@ -363,17 +339,15 @@ def check_block_pair(sanf, verify=True):
     if rem not in (0, 1):
         k, u0 = q, _block_chain(block, d, q, n)
     elif rem == 0 and q == 2:
-        k, u0 = 2, block | rotate(block, d - 2, n)
+        k, u0 = 2, _block_chain(block, d - 2, 2, n)
     else:  # rem == 0 with q >= 3, or rem == 1 (q >= 3: q = 2 would make n odd)
         k, u0 = q - 1, _block_chain(block, d, q - 1, n)
     report = _try_witness(
-        sanf, "block-pair", u0, k, k, f"k={k} chain of {format_monomial(block)}", verify
+        sanf, "block-pair", u0, k, k, f"k={k} chain of {format_monomial(block)}"
     )
     if report:
         return report
     if n <= _ARRAY_N_MAX:
-        from .rotsym import sanf_truth_table
-
         if not is_bent(sanf_truth_table(sanf)):
             return NonexistenceReport(
                 n,
@@ -399,9 +373,8 @@ def sparse_triple_params(sanf):
     if len(sanf.reps) != 1 or sanf.reps[0].bit_count() != 3:
         return None
     u1 = sanf.reps[0]
-    pos = [j + 1 for j in range(u1.bit_length()) if (u1 >> j) & 1]
-    n1, n2 = pos[1] - pos[0] - 1, pos[2] - pos[1] - 1
-    span = pos[2]
+    p1, p2, span = positions(u1)
+    n1, n2 = p2 - p1 - 1, span - p2 - 1
     n0 = max(n1, n2)
     q, r = divmod(sanf.n - n1 - 1, span + n0)
     if q < 1:
@@ -409,16 +382,16 @@ def sparse_triple_params(sanf):
     return SparseTripleParams(n1, n2, n0, span, q, r)
 
 
-def check_sparse_triple(sanf, verify=True):
+def check_sparse_triple(sanf):
     """Single degree-3 orbit x1 x(2+n1) x(3+n1+n2) with a firing decomposition.
 
     Fires when q*(span - n0 - 1) >= r + n1 + 1; the witness chains q copies
     of the filled window u2 (the OR of n0+1 consecutive rotations of u1) and
     claims valuation q*(n0+1).
     """
-    pre = _prelim(sanf)
-    if pre:
-        return pre
+    gate = _gate(sanf, "sparse-triple", degree3=False)
+    if gate:
+        return gate
     n = sanf.n
     params = sparse_triple_params(sanf)
     if params is None:
@@ -437,23 +410,15 @@ def check_sparse_triple(sanf, verify=True):
             detail=f"bound not met: q(span-n0-1)={q * (span - n0 - 1)} < "
             f"r+n1+1={r + n1 + 1} with {params}",
         )
-    u1 = sanf.reps[0]
-    u2 = 0
-    for i in range(n0 + 1):
-        u2 |= rotate(u1, i, n)
-    u0 = _block_chain(u2, span + n0, q, n)
-    report = _try_witness(
+    u2 = _block_chain(sanf.reps[0], 1, n0 + 1, n)
+    return _try_witness(
         sanf,
         "sparse-triple",
-        u0,
+        _block_chain(u2, span + n0, q, n),
         q,
         q * (n0 + 1),
         f"{params} window u2={mask_to_bits(u2, n)}",
-        verify,
-    )
-    if report:
-        return report
-    return NonexistenceReport(
+    ) or NonexistenceReport(
         n, "sparse-triple", INCONCLUSIVE, detail=f"witness did not verify with {params}"
     )
 
@@ -469,20 +434,12 @@ def check_gap_bounds(sanf):
     gap < (n/2-1)/floor(n/d).  No witnesses: these bounds come from a
     different argument than the valuation rules.
     """
-    pre = _prelim(sanf)
-    if pre:
-        return pre
-    bad = _needs_degree3(sanf, "gap-bounds")
-    if bad:
-        return bad
-    n, d = sanf.n, sanf.homogeneous_degree
-    if n < 4:
-        return NonexistenceReport(
-            n, "gap-bounds", INCONCLUSIVE, detail="bounds stated for n >= 4"
-        )
+    gate = _gate(sanf, "gap-bounds")
+    if gate:
+        return gate
+    n, d = sanf.n, sanf.homogeneous_degree  # the gate leaves n >= 2d >= 6
     floor_nd = n // d
-    block = (1 << d) - 1
-    pair = ((1 << (d - 1)) - 1) | (1 << d)
+    block, pair = _block_and_pair(d)
     notes = []
 
     if sanf.reps == (block,):
@@ -522,10 +479,10 @@ RULES = (
     ("leading-block", check_leading_block),
     ("block-pair", check_block_pair),
     ("sparse-triple", check_sparse_triple),
-    ("gap-bounds", lambda sanf, verify=True: check_gap_bounds(sanf)),
+    ("gap-bounds", check_gap_bounds),
 )
 
 
-def all_checks(sanf, verify=True):
+def all_checks(sanf):
     """Run every rule; returns a list of (rule name, report) in fixed order."""
-    return [(name, fn(sanf, verify=verify)) for name, fn in RULES]
+    return [(name, fn(sanf)) for name, fn in RULES]

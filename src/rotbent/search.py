@@ -39,7 +39,7 @@ from .rotsym import (
     rotate,
     sanf_truth_table,
 )
-from .walsh import is_bent, is_bent_early_abort
+from .walsh import is_bent
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK = 1 << 20
@@ -235,12 +235,15 @@ def _walk(orb, reps, lo, hi, stats):
 def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
     """Run one search task; returns a SearchResult with SANF-confirmed hits.
 
-    Raises CapacityError when the candidate count exceeds the budget and the
-    task is not marked long-running; the message names a sufficient shard
-    count.  With a checkpoint path, appends one JSON line per finished chunk.
+    Raises ValueError for a budget below 1, and CapacityError when the
+    candidate count exceeds the budget and the task is not marked
+    long-running; the message names a sufficient shard count.  With a
+    checkpoint path, appends one JSON line per finished chunk.
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be a positive candidate count, got {budget}")
     n = task.n
     reps = enumerate_orbit_reps(n, task.d)
     lo, hi = _shard_range(task, len(reps))
@@ -275,10 +278,10 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
 def search_crosscheck(n, d):
     """Sweep a small space through every verdict route and compare them all.
 
-    Spectral, early-abort, valuation (within capacity), the degree-2 GCD
-    routes, and the structural rules must all agree; any NOT_BENT on a
-    spectrally bent function raises.  Spaces above 2^14 candidates are
-    refused, this is a consistency probe, not a search.
+    Spectral, valuation (within capacity), the degree-2 GCD routes, and the
+    structural rules must all agree; any NOT_BENT on a spectrally bent
+    function raises.  Spaces above 2^14 candidates are refused, this is a
+    consistency probe, not a search.
     """
     reps = enumerate_orbit_reps(n, d)
     total = (1 << len(reps)) - 1
@@ -287,10 +290,7 @@ def search_crosscheck(n, d):
     bent_count = val_checked = deg2_checked = fired = 0
     for subset in range(1, total + 1):
         sanf = _subset_sanf(n, reps, subset)
-        tt = sanf_truth_table(sanf)
-        bw = is_bent(tt)
-        if is_bent_early_abort(tt) != bw:
-            raise InternalInconsistencyError(f"early-abort mismatch: {format_sanf(sanf)}")
+        bw = is_bent(sanf_truth_table(sanf))
         bent_count += bw
         anf = orbit_expand(sanf)
         if n % 2 == 0 and len(anf.monomials) <= CAPACITY:

@@ -57,17 +57,3 @@ def is_bent(tt):
     target = 1 << (tt.n // 2)
     values = walsh_spectrum(tt).values
     return bool(np.all((values == target) | (values == -target)))  # no int64 |W| copy
-
-
-def is_bent_early_abort(tt):
-    """Same verdict as is_bent, arranged to fail fast on most inputs.
-
-    W(0) = 2^n - 2*weight is tested first straight from the table weight;
-    only tables passing that cheap filter pay for a full transform.
-    """
-    if tt.n % 2:
-        return False
-    target = 1 << (tt.n // 2)
-    if abs((1 << tt.n) - 2 * tt.weight) != target:
-        return False
-    return is_bent(tt)

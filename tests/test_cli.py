@@ -192,6 +192,27 @@ def test_nonexist_json(capsys):
     assert record["reports"]["shift-chain"]["witness_u0"] == "11111100"
 
 
+def test_nonexist_marks_witnesses_beyond_numeric_reach(capsys):
+    # x1x2x3+x1x2x4 at n=22: 44 monomials and 2^22 inputs, so neither cover
+    # route can recompute the block-pair witness
+    argv = ["nonexist", "-n", "22", "x1x2x3+x1x2x4"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    pair = json.loads(out)["reports"]["block-pair"]
+    assert pair["verdict"] == "NOT_BENT" and pair["verified"] is False
+    code, out, _ = run(argv, capsys)
+    assert out == (
+        "NOT_BENT rule=block-pair u0=1111111111111111110000 k=6 v2=6 unverified "
+        "(k=6 chain of x1x2x3)\n"
+    )
+    code, out, _ = run(["nonexist", "-n", "12", "x1x2x3", "--format", "json"], capsys)
+    reports = json.loads(out)["reports"]
+    for name in ("shift-chain", "leading-block", "sparse-triple"):
+        assert reports[name]["witness_u0"] is not None and reports[name]["verified"] is True
+    for name in ("block-pair", "gap-bounds"):  # no witness carried
+        assert reports[name]["verified"] is None
+
+
 def test_search_text(capsys):
     code, out, _ = run(["search", "-n", "8", "-d", "2"], capsys)
     assert code == 0
@@ -234,14 +255,13 @@ def test_search_threads_env(monkeypatch, capsys):
     assert [a["stats"][k] for k in counts] == [b["stats"][k] for k in counts] == [15, 8, 8, 8]
 
 
-def test_search_mode_is_an_ignored_alias(capsys):
-    argv = ["search", "-n", "8", "-d", "3", "--format", "json"]
-    plain = run(argv, capsys)
-    full = run(argv + ["--mode", "full"], capsys)
-    assert plain[0] == full[0] == 0
-    a, b = json.loads(plain[1]), json.loads(full[1])
-    assert a["bent"] == b["bent"]
-    assert a["candidates_tested"] == b["candidates_tested"] == 127
+def test_search_rejects_a_budget_below_one_and_the_old_mode_option(capsys):
+    argv = ["search", "-n", "8", "-d", "3"]
+    for budget in ("0", "-5"):
+        code, out, err = run(argv + ["--budget", budget], capsys)
+        assert (code, out) == (2, "")
+        assert f"budget must be a positive candidate count, got {budget}" in err
+    assert run(argv + ["--mode", "full"], capsys)[0] == 2
 
 
 def test_search_threads_checkpoint_partitions_the_space(tmp_path, monkeypatch, capsys):

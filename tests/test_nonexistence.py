@@ -93,6 +93,11 @@ def test_shift_chain_small_pair_inconclusive():
     # kd < n; the rule declines rather than guessing.
     rep = check_shift_chain(parse_sanf("x1x2x3+x1x2x4", 6))
     assert rep.verdict == INCONCLUSIVE
+    # larger n: a second orbit holding a one-gap variant of a split of
+    # x1x2x3 (x1x2.x4, or x1.x3x4 in the orbit of x1x2x7 at n=8) excludes
+    # every chain
+    for text, n in [("x1x2x3+x1x2x4", 8), ("x1x2x3+x1x2x4", 12), ("x1x2x3+x1x2x7", 8)]:
+        assert check_shift_chain(parse_sanf(text, n)).verdict == INCONCLUSIVE, (text, n)
 
 
 def test_shift_chain_needs_degree_three():
@@ -284,9 +289,11 @@ def test_report_serialization():
     d = rep.as_dict()
     assert d["witness_u0"] == "11111100"
     assert d["witness_k"] == 2 and d["claimed_valuation"] == 2
+    assert d["verified"] is True and "unverified" not in rep.text()
     assert rep.text().startswith("NOT_BENT rule=shift-chain u0=11111100 k=2 v2=2")
     blank = check_gap_bounds(parse_sanf("x1x2x3+x1x2x4", 10))
     assert blank.as_dict()["witness_u0"] is None
+    assert blank.as_dict()["verified"] is None
     assert blank.text().startswith("INCONCLUSIVE rule=gap-bounds")
 
 

@@ -153,6 +153,13 @@ def test_budget_error_names_the_shard_count():
     assert "long-running" in str(exc.value)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_rejected(budget):
+    for long_run in (False, True):
+        with pytest.raises(ValueError, match="positive candidate count"):
+            exhaustive_search(SearchTask(8, 3, long_run=long_run), budget=budget)
+
+
 def test_long_run_overrides_the_budget():
     res = exhaustive_search(SearchTask(8, 3, long_run=True), budget=10)
     assert res.candidates == 127

@@ -8,7 +8,6 @@ from rotbent import (
     AnfForm,
     TruthTable,
     is_bent,
-    is_bent_early_abort,
     truth_table_from_anf,
     walsh_spectrum,
 )
@@ -18,6 +17,14 @@ def walsh_naive(bits, n, c):
     return sum(
         (-1) ** ((int(bits[i]) + (i & c).bit_count()) & 1) for i in range(1 << n)
     )
+
+
+def literal_bent(tables, n):
+    """Bentness of each row from W(c) = sum_x (-1)^(f(x) + <c,x>), as a matrix product."""
+    idx = np.arange(1 << n)
+    parity = np.array([[(c & x).bit_count() & 1 for x in idx] for c in idx])
+    values = (1 - 2 * np.asarray(tables, dtype=np.int64)) @ (1 - 2 * parity).T
+    return np.all(np.abs(values) == 1 << (n // 2), axis=1)
 
 
 def random_table(rng, n):
@@ -61,44 +68,52 @@ def test_bent_needs_even_n():
     for n in (1, 3, 5, 7):
         tt = random_table(rng, n)
         assert not is_bent(tt)
-        assert not is_bent_early_abort(tt)
 
 
 def test_quadratic_bent_on_four_variables():
     # x1x2 + x3x4 is the textbook bent function on four variables.
     tt = truth_table_from_anf(AnfForm(4, frozenset({0b0011, 0b1100})))
     assert is_bent(tt)
-    assert is_bent_early_abort(tt)
 
 
 def test_exhaustive_four_variable_agreement():
-    # Every 16-bit truth table: the two bentness routes agree, and the
-    # total number of bent functions is the known 896.
-    count = 0
+    # Every 16-bit truth table: is_bent agrees with the literal definition,
+    # and the known 896 are bent.
+    words = np.arange(1 << 16)
+    tables = (words[:, None] >> np.arange(16) & 1).astype(np.uint8)
+    literal = literal_bent(tables, 4)
     for word in range(1 << 16):
-        bits = np.array([(word >> i) & 1 for i in range(16)], dtype=np.uint8)
-        tt = TruthTable(4, bits)
-        full = is_bent(tt)
-        assert full == is_bent_early_abort(tt), word
-        count += full
-    assert count == 896
+        assert is_bent(TruthTable(4, tables[word])) == literal[word], word
+    assert int(literal.sum()) == 896
 
 
 def test_random_eight_variable_agreement():
+    # random tables (almost never bent) and x1x5+x2x6+x3x7+x4x8 plus random
+    # affine terms (always bent), against the literal definition
     rng = random.Random(47)
-    for _ in range(2000):
-        tt = random_table(rng, 8)
-        assert is_bent(tt) == is_bent_early_abort(tt)
+    tables = [random_table(rng, 8).bits for _ in range(2000)]
+    inner = [((x & 15) & (x >> 4)).bit_count() & 1 for x in range(256)]
+    for a in rng.sample(range(512), 64):
+        affine = [(f + (a & x).bit_count() + (a >> 8)) & 1 for x, f in enumerate(inner)]
+        tables.append(np.array(affine, dtype=np.uint8))
+    literal = literal_bent(tables, 8)
+    assert literal[2000:].all()
+    for bits, want in zip(tables, literal):
+        assert is_bent(TruthTable(8, bits)) == want
 
 
 def test_bent_weight_precheck():
-    # Bent tables have weight (2^n - 2^(n/2))/2 or (2^n + 2^(n/2))/2;
-    # any other weight is rejected without a transform.
-    for word in range(1 << 16):
-        if word.bit_count() not in (6, 10):
-            bits = np.array([(word >> i) & 1 for i in range(16)], dtype=np.uint8)
-            assert not is_bent(TruthTable(4, bits))
-            break
+    # Bent tables have weight (2^n - 2^(n/2))/2 or (2^n + 2^(n/2))/2, since
+    # W(0) = 2^n - 2*weight = +-2^(n/2): the fact the search's W(0) filter
+    # rests on. On four variables every bent table has weight 6 or 10, and
+    # is_bent rejects every table of any other weight.
+    words = np.arange(1 << 16)
+    tables = (words[:, None] >> np.arange(16) & 1).astype(np.uint8)
+    weights = tables.sum(axis=1)
+    literal = literal_bent(tables, 4)
+    assert set(weights[literal].tolist()) == {6, 10}
+    for word in np.flatnonzero((weights != 6) & (weights != 10)):
+        assert not is_bent(TruthTable(4, tables[word])), word
 
 
 def test_zero_function_on_twenty_variables():
