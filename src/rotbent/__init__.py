@@ -4,168 +4,83 @@ Truth tables and ANF live in `boolfn`, orbit machinery and SANF handling in
 `rotsym`, the spectral test in `walsh`, cover coefficients and the 2-adic
 valuation criterion in `covercoef`, the degree-2 GCD characterization in
 `gf2poly`, structural nonexistence rules in `nonexistence`, and exhaustive
-search in `search`.  Everything user-facing is re-exported here.
+search in `search`.  The names the demos, the benchmark and the README use
+are re-exported here; everything else is imported from its submodule.
 """
 
-from .boolfn import (
-    N_MAX,
-    AnfForm,
-    TruthTable,
-    algebraic_degree,
-    anf_from_truth_table,
-    truth_table_from_anf,
-)
+from .boolfn import AnfForm, algebraic_degree, anf_from_truth_table, truth_table_from_anf
 from .covercoef import (
-    CAPACITY,
-    INFINITE,
-    CoverValue,
     all_cover_coefficients,
     all_cover_from_spectrum,
     bent_by_valuation,
     cover_coefficient,
-    cover_coefficient_from_spectrum,
-    spectrum_from_cover,
-    two_adic_valuation,
 )
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import (
     circulant_nonsingular,
     classify_degree2,
-    gf2_degree,
-    gf2_divmod,
     gf2_gcd,
-    gf2_mod,
-    gf2_mul,
     is_bent_degree2_rots,
     is_bent_quadratic,
     poly_str,
-    rank_gf2,
     rots_quadratic_poly,
 )
-from .nonexistence import (
-    INCONCLUSIVE,
-    NOT_BENT,
-    RULES,
-    NonexistenceReport,
-    SparseTripleParams,
-    StructureProfile,
-    all_checks,
-    check_block_pair,
-    check_gap_bounds,
-    check_leading_block,
-    check_shift_chain,
-    check_sparse_triple,
-    max_index_gap,
-    profile,
-    sparse_triple_params,
-    verify_witness,
-)
+from .nonexistence import INCONCLUSIVE, NOT_BENT, all_checks, verify_witness
 from .rotsym import (
     Sanf,
-    bits_to_mask,
     canonical_rep,
-    cycle_length,
-    cyclic_run_count,
     enumerate_orbit_reps,
     format_monomial,
     format_sanf,
-    is_rotation_symmetric,
-    mask_from_positions,
     mask_to_bits,
     orbit_count,
     orbit_expand,
     orbit_masks,
     parse_sanf,
-    positions,
-    rotate,
-    sanf_from_masks,
     sanf_truth_table,
 )
-from .search import (
-    DEFAULT_BUDGET,
-    CrosscheckReport,
-    SearchResult,
-    SearchTask,
-    exhaustive_search,
-    search_crosscheck,
-)
-from .walsh import WalshSpectrum, is_bent, walsh_spectrum
+from .search import SearchResult, SearchTask, exhaustive_search, search_crosscheck
+from .walsh import is_bent, walsh_spectrum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnfForm",
-    "CAPACITY",
     "CapacityError",
-    "CoverValue",
-    "CrosscheckReport",
-    "DEFAULT_BUDGET",
     "INCONCLUSIVE",
-    "INFINITE",
     "InternalInconsistencyError",
-    "N_MAX",
     "NOT_BENT",
-    "NonexistenceReport",
-    "RULES",
     "Sanf",
     "SearchResult",
     "SearchTask",
-    "SparseTripleParams",
-    "StructureProfile",
-    "TruthTable",
-    "WalshSpectrum",
     "algebraic_degree",
     "all_checks",
     "all_cover_coefficients",
     "all_cover_from_spectrum",
     "anf_from_truth_table",
     "bent_by_valuation",
-    "bits_to_mask",
     "canonical_rep",
-    "check_block_pair",
-    "check_gap_bounds",
-    "check_leading_block",
-    "check_shift_chain",
-    "check_sparse_triple",
     "circulant_nonsingular",
     "classify_degree2",
     "cover_coefficient",
-    "cover_coefficient_from_spectrum",
-    "cycle_length",
-    "cyclic_run_count",
     "enumerate_orbit_reps",
     "exhaustive_search",
     "format_monomial",
     "format_sanf",
-    "gf2_degree",
-    "gf2_divmod",
     "gf2_gcd",
-    "gf2_mod",
-    "gf2_mul",
     "is_bent",
     "is_bent_degree2_rots",
     "is_bent_quadratic",
-    "is_rotation_symmetric",
-    "mask_from_positions",
     "mask_to_bits",
-    "max_index_gap",
     "orbit_count",
     "orbit_expand",
     "orbit_masks",
     "parse_sanf",
     "poly_str",
-    "positions",
-    "profile",
-    "rank_gf2",
-    "rotate",
     "rots_quadratic_poly",
-    "sanf_from_masks",
     "sanf_truth_table",
     "search_crosscheck",
-    "sparse_triple_params",
-    "spectrum_from_cover",
     "truth_table_from_anf",
-    "two_adic_valuation",
     "verify_witness",
     "walsh_spectrum",
 ]

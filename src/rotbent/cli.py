@@ -147,8 +147,9 @@ def cmd_hcoeff(args):
     sanf = parse_sanf(args.sanf, n)
     monos = sorted(orbit_expand(sanf).monomials)
     if args.all_u:
+        harr = all_cover_coefficients(monos, n)  # refuses n > 20 before any 2^n array
         order = np.lexsort((np.arange(1 << n), _popcounts(n)))  # weight, then value
-        harr = all_cover_coefficients(monos, n)[order]
+        harr = harr[order]
         bits = np.stack([(order >> j & 1).astype(np.uint8) for j in range(n)], 1)
         masks = (bits + ord("0")).view(f"S{n}").ravel().astype(f"U{n}").tolist()  # u1...un
         v2 = _valuations(harr).astype(object)
@@ -238,10 +239,12 @@ def cmd_search(args):
     bent = tuple(sorted(result.bent, key=lambda s: s.reps))
     payload = dataclasses.replace(result, bent=bent).as_dict()
     payload["elapsed_s"] = round(time.perf_counter() - started, 3)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if args.out:  # write-then-rename: a killed run never leaves a torn file
+        tmp = f"{args.out}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, args.out)
     if args.format == "json":
         print(json.dumps(payload))
     else:

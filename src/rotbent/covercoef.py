@@ -13,9 +13,12 @@ f is bent iff v2(H(all-ones)) = n/2 and v2(H(u)) > |u| - n/2 for every other
 u, where v2(0) counts as +infinity (passes the strict inequality, fails the
 equality).
 
-Two independent routes are provided: `cover_coefficient` works straight off
-the monomial list, `cover_coefficient_from_spectrum` goes through the Walsh
-transform.  They must agree everywhere; tests enforce that.
+Two independent routes are provided: `cover_coefficient` and
+`all_cover_coefficients` work straight off the monomial list,
+`cover_coefficient_from_spectrum` and `all_cover_from_spectrum` go through
+the Walsh transform.  They must agree everywhere; tests enforce that.
+`bent_by_valuation` uses the monomial route only, so its verdict is
+independent of the Walsh test.
 """
 
 import math
@@ -23,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import _butterfly, truth_table_from_anf
+from .boolfn import _butterfly
 from .errors import CapacityError, InternalInconsistencyError
-from .walsh import WalshSpectrum, walsh_spectrum
 
-CAPACITY = 24  # contractual cap on the monomial-list size for the direct route
+CAPACITY = 24  # cap on the monomial-list size for the single-mask `cover_coefficient`
 _ARRAY_N_MAX = 20  # full 2^n arrays (spectra, coefficients, witness checks) stop here
 
 INFINITE = math.inf
@@ -160,19 +162,6 @@ def all_cover_from_spectrum(spectrum):
     return np.where(pc & 1, -q, q)
 
 
-def spectrum_from_cover(monomials, n):
-    """Walsh spectrum assembled from cover coefficients (direct route inside)."""
-    monos = list(monomials)
-    if len(monos) > CAPACITY:
-        raise CapacityError(
-            f"cover-route spectrum takes at most {CAPACITY} monomials, got {len(monos)}"
-        )
-    harr = all_cover_coefficients(monos, n)
-    pc = _popcounts(n)
-    s = _butterfly(harr << (n - pc), _superset_sums)
-    return WalshSpectrum(n, np.where(pc & 1, -s, s))
-
-
 def _valuations(harr):
     """Elementwise v2 as an int array, with a huge sentinel where H = 0."""
     v2 = np.bitwise_count((harr & -harr) - 1).astype(np.int64)
@@ -180,31 +169,16 @@ def _valuations(harr):
     return v2
 
 
-def bent_by_valuation(anf, route="auto"):
+def bent_by_valuation(anf):
     """Bentness via the valuation criterion on the cover coefficients.
 
-    route: "direct" (monomial list, capped at 24 monomials), "spectrum"
-    (through the Walsh transform), or "auto" (direct when within capacity).
+    The coefficients come from the monomial list (`all_cover_coefficients`,
+    n <= 20), never from the Walsh spectrum.
     """
     n = anf.n
     if n % 2:
         raise ValueError("the valuation criterion needs an even number of variables")
-    monos = sorted(anf.monomials)
-    if route == "auto":
-        route = "direct" if len(monos) <= CAPACITY else "spectrum"
-    if route == "direct":
-        if len(monos) > CAPACITY:
-            raise CapacityError(
-                f"direct route takes at most {CAPACITY} monomials, got {len(monos)}"
-            )
-        harr = all_cover_coefficients(monos, n)
-    elif route == "spectrum":
-        if n > _ARRAY_N_MAX:
-            raise CapacityError(f"spectrum route needs n <= {_ARRAY_N_MAX}")
-        harr = all_cover_from_spectrum(walsh_spectrum(truth_table_from_anf(anf)))
-    else:
-        raise ValueError(f"unknown route {route!r}")
-
+    harr = all_cover_coefficients(anf.monomials, n)
     full = (1 << n) - 1
     pc = _popcounts(n)
     v2 = _valuations(harr)

@@ -88,56 +88,12 @@ class NonexistenceReport:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class StructureProfile:
-    """Shape summary a SANF presents to the valuation rules."""
-
-    n: int
-    degree: int
-    rep_count: int
-    max_positions: tuple  # largest set position of each rep, in input order
-    d1: int  # smallest of those
-    u1: int  # first rep attaining d1
-    split_l: object  # largest valid block split of u1, or None
-    a_mask: object  # low block of u1 under that split (positions 1..l)
-    b_mask: object  # high block shifted down (positions l+1..d1)
-
-
-@dataclass(frozen=True)
-class SparseTripleParams:
-    """Decomposition parameters of a single gap-pattern degree-3 orbit."""
-
-    n1: int
-    n2: int
-    n0: int
-    span: int  # largest set position of the representative
-    q: int
-    r: int
-
-
 def _valid_splits(u1, d1):
     """Split points l where both blocks of u1 start and end with a 1."""
     return [l for l in range(1, d1) if (u1 >> (l - 1)) & 1 and (u1 >> l) & 1]
 
 
-def profile(sanf):
-    """Structure profile; the SANF must be homogeneous."""
-    d = sanf.homogeneous_degree
-    if d is None:
-        raise ValueError("profile needs a homogeneous SANF")
-    maxpos = tuple(r.bit_length() for r in sanf.reps)
-    d1 = min(maxpos)
-    u1 = sanf.reps[maxpos.index(d1)]
-    splits = _valid_splits(u1, d1)
-    if splits:
-        l = max(splits)
-        a, b = u1 & ((1 << l) - 1), u1 >> l
-    else:
-        l = a = b = None
-    return StructureProfile(sanf.n, d, len(sanf.reps), maxpos, d1, u1, l, a, b)
-
-
-def max_index_gap(sanf):
+def _max_index_gap(sanf):
     """Largest gap between consecutive set positions within any representative."""
     gaps = [b - a for pos in map(positions, sanf.reps) for a, b in zip(pos, pos[1:])]
     return max(gaps, default=0)
@@ -247,8 +203,8 @@ def check_shift_chain(sanf):
     if gate:
         return gate
     n, d = sanf.n, sanf.homogeneous_degree
-    prof = profile(sanf)
-    d1, u1 = prof.d1, prof.u1
+    d1 = min(r.bit_length() for r in sanf.reps)  # least largest set position
+    u1 = next(r for r in sanf.reps if r.bit_length() == d1)
     splits = _valid_splits(u1, d1)
     if not splits:
         return NonexistenceReport(
@@ -364,22 +320,16 @@ def check_block_pair(sanf):
     )
 
 
-def sparse_triple_params(sanf):
-    """Decomposition n = q*(span+n0) + r + n1 + 1 for a single degree-3 orbit.
-
-    Returns None when the SANF is not a single weight-3 representative or the
-    decomposition has q < 1.
-    """
+def _triple_params(sanf):
+    """(n1, n2, n0, span, q, r) with n = q*(span+n0) + r + n1 + 1 for a single
+    degree-3 orbit; None unless the SANF is one weight-3 rep with q >= 1."""
     if len(sanf.reps) != 1 or sanf.reps[0].bit_count() != 3:
         return None
-    u1 = sanf.reps[0]
-    p1, p2, span = positions(u1)
+    p1, p2, span = positions(sanf.reps[0])
     n1, n2 = p2 - p1 - 1, span - p2 - 1
     n0 = max(n1, n2)
     q, r = divmod(sanf.n - n1 - 1, span + n0)
-    if q < 1:
-        return None
-    return SparseTripleParams(n1, n2, n0, span, q, r)
+    return (n1, n2, n0, span, q, r) if q >= 1 else None
 
 
 def check_sparse_triple(sanf):
@@ -393,7 +343,7 @@ def check_sparse_triple(sanf):
     if gate:
         return gate
     n = sanf.n
-    params = sparse_triple_params(sanf)
+    params = _triple_params(sanf)
     if params is None:
         return NonexistenceReport(
             n,
@@ -401,14 +351,15 @@ def check_sparse_triple(sanf):
             INCONCLUSIVE,
             detail="needs a single weight-3 representative with q >= 1",
         )
-    n1, n0, span, q, r = params.n1, params.n0, params.span, params.q, params.r
+    n1, n2, n0, span, q, r = params
+    shape = f"n1={n1} n2={n2} n0={n0} span={span} q={q} r={r}"
     if q * (span - n0 - 1) < r + n1 + 1:
         return NonexistenceReport(
             n,
             "sparse-triple",
             INCONCLUSIVE,
             detail=f"bound not met: q(span-n0-1)={q * (span - n0 - 1)} < "
-            f"r+n1+1={r + n1 + 1} with {params}",
+            f"r+n1+1={r + n1 + 1} with {shape}",
         )
     u2 = _block_chain(sanf.reps[0], 1, n0 + 1, n)
     return _try_witness(
@@ -417,9 +368,9 @@ def check_sparse_triple(sanf):
         _block_chain(u2, span + n0, q, n),
         q,
         q * (n0 + 1),
-        f"{params} window u2={mask_to_bits(u2, n)}",
+        f"{shape} window u2={mask_to_bits(u2, n)}",
     ) or NonexistenceReport(
-        n, "sparse-triple", INCONCLUSIVE, detail=f"witness did not verify with {params}"
+        n, "sparse-triple", INCONCLUSIVE, detail=f"witness did not verify with {shape}"
     )
 
 
@@ -462,7 +413,7 @@ def check_gap_bounds(sanf):
     else:
         notes.append("(ii) shape no")
 
-    gap = max_index_gap(sanf)
+    gap = _max_index_gap(sanf)
     if 2 * gap * floor_nd < n - 2:
         return NonexistenceReport(
             n,

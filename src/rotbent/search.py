@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boolfn import _butterfly, _xor_step
-from .covercoef import CAPACITY, bent_by_valuation
+from .covercoef import _ARRAY_N_MAX, bent_by_valuation
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import is_bent_degree2_rots, is_bent_quadratic
 from .nonexistence import NOT_BENT, all_checks
@@ -278,7 +278,7 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
 def search_crosscheck(n, d):
     """Sweep a small space through every verdict route and compare them all.
 
-    Spectral, valuation (within capacity), the degree-2 GCD routes, and the
+    Spectral, valuation (n <= 20), the degree-2 GCD routes, and the
     structural rules must all agree; any NOT_BENT on a spectrally bent
     function raises.  Spaces above 2^14 candidates are refused, this is a
     consistency probe, not a search.
@@ -293,7 +293,7 @@ def search_crosscheck(n, d):
         bw = is_bent(sanf_truth_table(sanf))
         bent_count += bw
         anf = orbit_expand(sanf)
-        if n % 2 == 0 and len(anf.monomials) <= CAPACITY:
+        if n % 2 == 0 and n <= _ARRAY_N_MAX:
             if bent_by_valuation(anf) != bw:
                 raise InternalInconsistencyError(
                     f"valuation mismatch: {format_sanf(sanf)}"

@@ -16,14 +16,11 @@ from rotbent import (
     AnfForm,
     CapacityError,
     SearchTask,
-    TruthTable,
     all_checks,
     all_cover_coefficients,
     all_cover_from_spectrum,
     anf_from_truth_table,
     bent_by_valuation,
-    check_block_pair,
-    check_gap_bounds,
     circulant_nonsingular,
     classify_degree2,
     enumerate_orbit_reps,
@@ -36,13 +33,15 @@ from rotbent import (
     orbit_expand,
     parse_sanf,
     rots_quadratic_poly,
-    sanf_from_masks,
     sanf_truth_table,
     truth_table_from_anf,
     verify_witness,
     walsh_spectrum,
 )
+from rotbent.boolfn import TruthTable
 from rotbent.cli import main
+from rotbent.nonexistence import check_block_pair, check_gap_bounds
+from rotbent.rotsym import sanf_from_masks
 
 
 def all_sanfs(n, d):

@@ -7,11 +7,11 @@ import pytest
 
 from rotbent import (
     AnfForm,
-    TruthTable,
     algebraic_degree,
     anf_from_truth_table,
     truth_table_from_anf,
 )
+from rotbent.boolfn import TruthTable
 
 
 def eval_anf_naive(monomials, n, i):

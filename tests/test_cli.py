@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output texts, JSON round-trips."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -10,9 +11,9 @@ from rotbent import (
     mask_to_bits,
     orbit_expand,
     parse_sanf,
-    two_adic_valuation,
 )
 from rotbent.cli import main
+from rotbent.covercoef import two_adic_valuation
 
 
 def run(argv, capsys):
@@ -122,6 +123,20 @@ def test_hcoeff_all_json(capsys):
     assert by_u["11"] == {"u": "11", "value": -2, "v2": 1}
     assert by_u["10"] == {"u": "10", "value": 0, "v2": "inf"}
     assert by_u["00"]["value"] == 1
+
+
+def test_hcoeff_all_u_refuses_before_allocating(capsys):
+    # the n > 20 guard fires before any 2^n array exists: 2^24 int64 would be
+    # hundreds of MiB
+    tracemalloc.start()
+    try:
+        code, _, err = run(["hcoeff", "-n", "24", "x1x2x3", "--all-u"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == "error: full coefficient array needs n <= 20\n"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -235,6 +250,25 @@ def test_search_out_file(tmp_path, capsys):
     record = json.loads(path.read_text())
     assert record["candidates_tested"] == 15
     assert len(record["bent"]) == 8
+
+
+def test_search_out_replaces_by_rename(tmp_path, capsys):
+    path = tmp_path / "result.json"
+    path.write_text("stale\n")
+    code, _, _ = run(["search", "-n", "8", "-d", "2", "--out", str(path)], capsys)
+    assert code == 0
+    assert json.loads(path.read_text())["candidates_tested"] == 15
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]  # no temp file left
+
+
+def test_search_out_untouched_by_a_refused_run(tmp_path, capsys):
+    path = tmp_path / "result.json"
+    path.write_bytes(b"earlier result\n")
+    argv = ["search", "-n", "8", "-d", "2", "--budget", "0", "--out", str(path)]
+    code, _, _ = run(argv, capsys)
+    assert code == 2
+    assert path.read_bytes() == b"earlier result\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
 
 
 def test_search_budget_guidance(capsys):

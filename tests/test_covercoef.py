@@ -8,23 +8,28 @@ import numpy as np
 import pytest
 
 from rotbent import (
-    CAPACITY,
     AnfForm,
     CapacityError,
-    CoverValue,
     InternalInconsistencyError,
-    WalshSpectrum,
+    Sanf,
     all_cover_coefficients,
     all_cover_from_spectrum,
     bent_by_valuation,
     cover_coefficient,
-    cover_coefficient_from_spectrum,
+    enumerate_orbit_reps,
     is_bent,
-    spectrum_from_cover,
+    orbit_expand,
+    sanf_truth_table,
     truth_table_from_anf,
-    two_adic_valuation,
     walsh_spectrum,
 )
+from rotbent.covercoef import (
+    CAPACITY,
+    CoverValue,
+    cover_coefficient_from_spectrum,
+    two_adic_valuation,
+)
+from rotbent.walsh import WalshSpectrum
 
 
 def cover_naive(monomials, n):
@@ -81,15 +86,6 @@ def test_spectrum_route_agrees_with_direct():
             assert cover_coefficient_from_spectrum(ws, u).value == harr[u]
 
 
-def test_spectrum_from_cover_round_trip():
-    rng = random.Random(59)
-    for _ in range(40):
-        n = rng.randint(1, 8)
-        monos = random_monomials(rng, n)
-        ws = walsh_spectrum(truth_table_from_anf(AnfForm(n, frozenset(monos))))
-        assert np.array_equal(spectrum_from_cover(monos, n).values, ws.values)
-
-
 def test_valuation_criterion_matches_walsh_bentness():
     rng = random.Random(61)
     for _ in range(120):
@@ -97,9 +93,22 @@ def test_valuation_criterion_matches_walsh_bentness():
         monos = random_monomials(rng, n)
         anf = AnfForm(n, frozenset(monos))
         want = is_bent(truth_table_from_anf(anf))
-        assert bent_by_valuation(anf, route="direct") == want
-        assert bent_by_valuation(anf, route="spectrum") == want
         assert bent_by_valuation(anf) == want
+
+
+def test_valuation_route_matches_walsh_on_whole_layers():
+    # bent_by_valuation reads the monomial list only; 122 of these 221 SANFs
+    # expand past the 24-monomial cap of the single-mask route.
+    past_cap = 0
+    for n, d in ((8, 3), (10, 2), (12, 2)):
+        reps = enumerate_orbit_reps(n, d)
+        for size in range(1, len(reps) + 1):
+            for chosen in itertools.combinations(reps, size):
+                sanf = Sanf(n, chosen)
+                anf = orbit_expand(sanf)
+                past_cap += len(anf.monomials) > CAPACITY
+                assert bent_by_valuation(anf) == is_bent(sanf_truth_table(sanf))
+    assert past_cap == 64 + 16 + 42
 
 
 def test_valuation_criterion_known_bent():
@@ -120,7 +129,7 @@ def test_capacity_errors():
     with pytest.raises(CapacityError):
         all_cover_coefficients([1], 21)
     with pytest.raises(CapacityError):
-        bent_by_valuation(AnfForm(22, frozenset({3})), route="spectrum")
+        bent_by_valuation(AnfForm(22, frozenset({3})))
 
 
 def test_two_adic_valuation():

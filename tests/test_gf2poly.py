@@ -10,22 +10,18 @@ from rotbent import (
     circulant_nonsingular,
     classify_degree2,
     format_sanf,
-    gf2_degree,
-    gf2_divmod,
     gf2_gcd,
-    gf2_mod,
-    gf2_mul,
     is_bent,
     is_bent_degree2_rots,
     is_bent_quadratic,
     orbit_expand,
     parse_sanf,
     poly_str,
-    rank_gf2,
     rots_quadratic_poly,
-    sanf_from_masks,
     sanf_truth_table,
 )
+from rotbent.gf2poly import gf2_degree, gf2_divmod, gf2_mod, gf2_mul, rank_gf2
+from rotbent.rotsym import sanf_from_masks
 
 
 def test_gcd_hand_cases():

@@ -10,51 +10,25 @@ from rotbent import (
     INCONCLUSIVE,
     NOT_BENT,
     Sanf,
-    SparseTripleParams,
     all_checks,
+    cover_coefficient,
+    enumerate_orbit_reps,
+    is_bent,
+    nonexistence,
+    orbit_expand,
+    parse_sanf,
+    sanf_truth_table,
+    verify_witness,
+)
+from rotbent.cli import main
+from rotbent.nonexistence import (
     check_block_pair,
     check_gap_bounds,
     check_leading_block,
     check_shift_chain,
     check_sparse_triple,
-    cover_coefficient,
-    enumerate_orbit_reps,
-    is_bent,
-    max_index_gap,
-    orbit_expand,
-    parse_sanf,
-    profile,
-    sanf_from_masks,
-    sanf_truth_table,
-    sparse_triple_params,
-    verify_witness,
 )
-from rotbent import nonexistence
-from rotbent.cli import main
-
-
-def test_profile_block_pair():
-    prof = profile(parse_sanf("x1x2x3+x1x2x4", 6))
-    assert prof.n == 6
-    assert prof.degree == 3
-    assert prof.rep_count == 2
-    assert prof.max_positions == (3, 4)
-    assert prof.d1 == 3 and prof.u1 == 0b111
-    assert prof.split_l == 2
-    assert prof.a_mask == 0b11 and prof.b_mask == 0b1
-
-
-def test_profile_single_blocks():
-    assert profile(parse_sanf("x1x2x3", 8)).d1 == 3
-    prof = profile(parse_sanf("x1x2x4", 8))
-    assert prof.d1 == 4 and prof.u1 == 0b1011
-    assert prof.split_l == 1
-    assert prof.a_mask == 0b1 and prof.b_mask == 0b101
-
-
-def test_profile_rejects_mixed_degrees():
-    with pytest.raises(ValueError):
-        profile(Sanf(6, (3, 7)))
+from rotbent.rotsym import sanf_from_masks
 
 
 def test_odd_n_short_circuits():
@@ -104,6 +78,53 @@ def test_shift_chain_needs_degree_three():
     assert check_shift_chain(parse_sanf("x1x2", 8)).verdict == INCONCLUSIVE
 
 
+def test_shift_chain_chains_the_rep_of_least_span():
+    # d1 is the least largest set position over the reps, u1 the first rep
+    # attaining it, whatever the input order
+    rep = check_shift_chain(parse_sanf("x1x2x5+x1x2x4", 12))
+    assert rep.verdict == NOT_BENT
+    assert rep.detail.endswith("d1=4 chain of x1x2x4")
+
+
+# The profile tests pin the structure facts the rules read off a SANF: the
+# homogeneous degree, the reps' largest set positions, d1/u1 and the block
+# splits of u1.
+
+
+def test_profile_block_pair():
+    sanf = parse_sanf("x1x2x3+x1x2x4", 6)
+    assert sanf.n == 6
+    assert sanf.homogeneous_degree == 3
+    assert len(sanf.reps) == 2
+    assert tuple(r.bit_length() for r in sanf.reps) == (3, 4)
+    # d1 = 3, u1 = x1x2x3; its widest split is l=2: a = x1x2, b = x1
+    assert nonexistence._valid_splits(0b111, 3) == [1, 2]
+    # the chain is built on u1 whichever rep comes first
+    rep = check_shift_chain(parse_sanf("x1x3x5+x1x2x3", 10))
+    assert rep.verdict == NOT_BENT
+    assert rep.detail.endswith("d1=3 chain of x1x2x3")
+
+
+def test_profile_single_blocks():
+    rep = check_shift_chain(parse_sanf("x1x2x3", 8))
+    assert rep.verdict == NOT_BENT
+    assert rep.detail.endswith("d1=3 chain of x1x2x3")
+    rep = check_shift_chain(parse_sanf("x1x2x4", 8))
+    assert rep.verdict == NOT_BENT
+    assert rep.detail.endswith("d1=4 chain of x1x2x4")
+    # x1x2x4 splits only at l=1: a = x1, b = x1x3
+    assert nonexistence._valid_splits(0b1011, 4) == [1]
+    assert "l=1 d1=4" in rep.detail
+
+
+def test_profile_rejects_mixed_degrees():
+    sanf = Sanf(6, (3, 7))
+    assert sanf.homogeneous_degree is None
+    # the rules that read the structure decline a mixed-degree SANF
+    for check in (check_shift_chain, check_block_pair, check_sparse_triple):
+        assert check(sanf).verdict == INCONCLUSIVE
+
+
 def test_leading_block():
     rep = check_leading_block(parse_sanf("x1x2x3", 6))
     assert rep.verdict == NOT_BENT
@@ -143,13 +164,10 @@ def test_block_pair_shape_gates():
 
 
 def test_sparse_triple_params():
-    assert sparse_triple_params(parse_sanf("x1x3x5", 16)) == SparseTripleParams(
-        n1=1, n2=1, n0=1, span=5, q=2, r=2
-    )
-    assert sparse_triple_params(parse_sanf("x1x2x3", 12)) == SparseTripleParams(
-        n1=0, n2=0, n0=0, span=3, q=3, r=2
-    )
-    assert sparse_triple_params(parse_sanf("x1x2x3+x1x2x4", 10)) is None
+    # (n1, n2, n0, span, q, r)
+    assert nonexistence._triple_params(parse_sanf("x1x3x5", 16)) == (1, 1, 1, 5, 2, 2)
+    assert nonexistence._triple_params(parse_sanf("x1x2x3", 12)) == (0, 0, 0, 3, 3, 2)
+    assert nonexistence._triple_params(parse_sanf("x1x2x3+x1x2x4", 10)) is None
 
 
 def test_sparse_triple():
@@ -164,7 +182,8 @@ def test_sparse_triple():
     assert rep.claimed_valuation == 4
     rep = check_sparse_triple(parse_sanf("x1x2x4", 10))
     assert rep.verdict == INCONCLUSIVE
-    assert "bound not met" in rep.detail
+    assert rep.detail.startswith("bound not met")
+    assert rep.detail.endswith("with n1=0 n2=1 n0=1 span=4 q=1 r=4")
 
 
 def test_gap_bounds_single_block():
@@ -201,12 +220,13 @@ def test_gap_bounds_needs_degree_three():
 
 
 def test_max_index_gap():
-    assert max_index_gap(parse_sanf("x1x2x3", 6)) == 1
-    assert max_index_gap(parse_sanf("x1x2x5", 6)) == 3
-    assert max_index_gap(parse_sanf("x1x4+x1x2", 6)) == 3
+    gap = nonexistence._max_index_gap
+    assert gap(parse_sanf("x1x2x3", 6)) == 1
+    assert gap(parse_sanf("x1x2x5", 6)) == 3
+    assert gap(parse_sanf("x1x4+x1x2", 6)) == 3
     for n in (6, 8, 10):
         for rep_mask in enumerate_orbit_reps(n, 3):
-            assert max_index_gap(sanf_from_masks([rep_mask], n)) <= n - 1
+            assert gap(sanf_from_masks([rep_mask], n)) <= n - 1
 
 
 def test_verify_witness():

@@ -9,25 +9,27 @@ from rotbent import (
     AnfForm,
     Sanf,
     anf_from_truth_table,
-    bits_to_mask,
     canonical_rep,
-    cycle_length,
-    cyclic_run_count,
     enumerate_orbit_reps,
     format_monomial,
     format_sanf,
-    is_rotation_symmetric,
-    mask_from_positions,
     mask_to_bits,
     orbit_count,
     orbit_expand,
     orbit_masks,
     parse_sanf,
-    rotate,
-    sanf_from_masks,
     sanf_truth_table,
 )
-from rotbent.rotsym import _rev
+from rotbent.rotsym import (
+    _rev,
+    bits_to_mask,
+    cycle_length,
+    cyclic_run_count,
+    is_rotation_symmetric,
+    mask_from_positions,
+    rotate,
+    sanf_from_masks,
+)
 
 
 def necklaces_burnside(n, w):

@@ -14,17 +14,17 @@ from rotbent import (
     InternalInconsistencyError,
     Sanf,
     SearchTask,
-    TruthTable,
     classify_degree2,
     enumerate_orbit_reps,
     exhaustive_search,
     format_sanf,
     orbit_count,
     sanf_truth_table,
+    search,
     search_crosscheck,
     walsh_spectrum,
 )
-from rotbent import search
+from rotbent.boolfn import TruthTable
 from rotbent.cli import main
 
 # stats counts that partition with the candidate space
@@ -213,9 +213,9 @@ def test_crosscheck_degree3():
     assert rep.candidates == 127
     assert rep.bent_count == 0
     assert rep.degree2_checked == 0
-    # Only subsets of at most three of the seven size-8 orbits stay within
-    # the 24-monomial cap of the direct route: 7 + 21 + 35.
-    assert rep.valuation_checked == 63
+    # The valuation route reads the monomial list at any list size, so
+    # every candidate is checked, the 64 past 24 monomials too.
+    assert rep.valuation_checked == 127
 
 
 def test_crosscheck_capacity_guard():

@@ -4,13 +4,8 @@ import random
 
 import numpy as np
 
-from rotbent import (
-    AnfForm,
-    TruthTable,
-    is_bent,
-    truth_table_from_anf,
-    walsh_spectrum,
-)
+from rotbent import AnfForm, is_bent, truth_table_from_anf, walsh_spectrum
+from rotbent.boolfn import TruthTable
 
 
 def walsh_naive(bits, n, c):
