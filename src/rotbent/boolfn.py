@@ -74,19 +74,36 @@ class AnfForm:
         object.__setattr__(self, "monomials", monos)
 
 
+# Levels with h <= this run one step call per offset j in the block.  A
+# (blocks, h) view gives numpy inner loops only h long; one strided 1-D view
+# per offset is a single long loop.  Per level at n = 20 (2-core host), one
+# call against the offset loop, in ms: h = 2 u8 XOR 7.3 / 0.5, int32 signed
+# 13.7 / 1.9; h = 8 u8 XOR 1.7 / 0.6, int32 signed 3.8 / 5.0; h = 16 u8 XOR
+# 0.9 / 0.6, int32 signed 2.3 / 9.6.  At n = 16-18 the loop still wins at
+# h = 8 for every step.  Above 8 the h passes over the array cost more than
+# the short inner loops save.
+_OFFSET_LOOP_MAX = 8
+
+
 def _butterfly(a, step):
     """Run a fast transform in place along the 2^n-long last axis of an array.
 
     The array is contiguous.  At level h = 1, 2, 4, ... it is seen as blocks of
     2h entries, and step(lo, hi) gets the (blocks, h) views of every block's
-    halves and must update them in place.  Returns a.  Every transform in this
-    package is one such step: XOR (Moebius over GF(2)), add/subtract
-    (zeta/Moebius over the integers), and the signed Walsh pair.
+    halves and must update them in place.  At the low levels (h up to
+    `_OFFSET_LOOP_MAX`) it is called once per offset j < h on the strided
+    (blocks,) views of entry j of each half instead.  Returns a.  Every
+    transform in this package is one such step: XOR (Moebius over GF(2)),
+    add/subtract (zeta/Moebius over the integers), and the signed Walsh pair.
     """
     h = 1
     while h < a.shape[-1]:
         v = a.reshape(-1, 2, h)
-        step(v[:, 0], v[:, 1])
+        if h <= _OFFSET_LOOP_MAX:
+            for j in range(h):
+                step(v[:, 0, j], v[:, 1, j])
+        else:
+            step(v[:, 0], v[:, 1])
         h *= 2
     return a
 

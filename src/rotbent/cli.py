@@ -24,11 +24,11 @@ import numpy as np
 from .covercoef import (
     CAPACITY,
     _popcounts,
-    _valuations,
     all_cover_coefficients,
     bent_by_valuation,
     cover_coefficient,
     cover_coefficient_from_spectrum,
+    two_adic_valuation,
 )
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import classify_degree2
@@ -142,24 +142,50 @@ def cmd_spectrum(args):
     return 0
 
 
+def _all_u_rows(n, harr, head, tail, sep):
+    """The `hcoeff --all-u` rows, ordered by weight then value, joined by sep.
+
+    A row is head + u1...un + tail(H, v2).  The tail is formatted once per
+    distinct H (18 of them for x1x2x4 at n = 16), and the rows are laid out
+    as one (2^n, width) byte array of sep + row, NUL-padded after each tail.
+    The padding and the first row's sep are NUL and dropped in one pass.
+    Every character is ASCII.
+    """
+    order = np.lexsort((np.arange(1 << n), _popcounts(n)))  # weight, then value
+    values, inv = np.unique(harr[order], return_inverse=True)
+    tails = [
+        tail(h, _v2_text(two_adic_valuation(h))).encode() for h in values.tolist()
+    ]
+    table = np.zeros((len(tails), max(map(len, tails))), dtype=np.uint8)
+    for row, text in zip(table, tails):
+        row[: len(text)] = list(text)
+    lead = (sep + head).encode()
+    p = len(lead)
+    out = np.zeros((1 << n, p + n + table.shape[1]), dtype=np.uint8)
+    out[:, :p] = list(lead)
+    out[0, : len(sep)] = 0
+    bits = np.unpackbits(  # bit j of each mask in column j: u1 first
+        order.astype("<u4").view(np.uint8).reshape(-1, 4), axis=1, bitorder="little"
+    )
+    np.add(bits[:, :n], ord("0"), out=out[:, p : p + n])
+    out[:, p + n :] = table[inv]
+    return out[out != 0].tobytes().decode()
+
+
 def cmd_hcoeff(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
     monos = sorted(orbit_expand(sanf).monomials)
     if args.all_u:
         harr = all_cover_coefficients(monos, n)  # refuses n > 20 before any 2^n array
-        order = np.lexsort((np.arange(1 << n), _popcounts(n)))  # weight, then value
-        harr = harr[order]
-        bits = np.stack([(order >> j & 1).astype(np.uint8) for j in range(n)], 1)
-        masks = (bits + ord("0")).view(f"S{n}").ravel().astype(f"U{n}").tolist()  # u1...un
-        v2 = _valuations(harr).astype(object)
-        v2[harr == 0] = "inf"
-        cols = zip(masks, harr.tolist(), v2.tolist())
         if args.format == "json":
-            rows = [{"u": u, "value": h, "v2": v} for u, h, v in cols]
-            print(json.dumps({"n": n, "sanf": format_sanf(sanf), "values": rows}))
+            head = json.dumps({"n": n, "sanf": format_sanf(sanf)})[:-1]  # open object
+            rows = _all_u_rows(
+                n, harr, '{"u": "', lambda h, v: f'", "value": {h}, "v2": {json.dumps(v)}}}', ", "
+            )
+            print(f'{head}, "values": [', rows, "]}", sep="")
         else:
-            print("\n".join(f"u={u} value={h} v2={v}" for u, h, v in cols))
+            print(_all_u_rows(n, harr, "u=", lambda h, v: f" value={h} v2={v}", "\n"))
         return 0
     u = bits_to_mask(args.u, n)
     if len(monos) <= CAPACITY:

@@ -106,6 +106,23 @@ def _walk(sub, u):
     return rec(0, 0)
 
 
+def _lattice_cover(monomials, u):
+    """H(u) for one u with |u| <= `_ARRAY_N_MAX`, from a monomial list of any size.
+
+    The monomials inside u are compressed onto its |u| set positions and
+    H(u) is the all-ones entry of their `all_cover_coefficients`.
+    """
+    pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
+    place = {p: i for i, p in enumerate(pos)}
+    compressed = [
+        sum(1 << place[j] for j in range(m.bit_length()) if (m >> j) & 1)
+        for m in monomials
+        if m & ~u == 0
+    ]
+    val = int(all_cover_coefficients(compressed, len(pos))[-1])
+    return CoverValue(val, two_adic_valuation(val))
+
+
 def cover_coefficient(monomials, u):
     """H(u) for one u, by the direct route.  List size is capped at 24."""
     monos = list(monomials)
@@ -114,21 +131,9 @@ def cover_coefficient(monomials, u):
             f"direct route takes at most {CAPACITY} monomials, got {len(monos)}; "
             "use the spectrum route"
         )
-    sub = [m for m in monos if m & ~u == 0]
-    w = u.bit_count()
-    if u != 0 and w <= _ARRAY_N_MAX:
-        # compress onto the support of u and run the lattice identity there
-        pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
-        place = {p: i for i, p in enumerate(pos)}
-        compressed = [
-            sum(1 << place[j] for j in range(m.bit_length()) if (m >> j) & 1)
-            for m in sub
-        ]
-        val = int(all_cover_coefficients(compressed, w)[-1])
-    elif u == 0:
-        val = -1 if monos.count(0) % 2 else 1
-    else:
-        val = _walk(sub, u)
+    if u.bit_count() <= _ARRAY_N_MAX:
+        return _lattice_cover(monos, u)
+    val = _walk([m for m in monos if m & ~u == 0], u)
     return CoverValue(val, two_adic_valuation(val))
 
 

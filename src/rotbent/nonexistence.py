@@ -27,6 +27,7 @@ from .boolfn import truth_table_from_anf
 from .covercoef import (
     _ARRAY_N_MAX,
     CAPACITY,
+    _lattice_cover,
     cover_coefficient,
     cover_coefficient_from_spectrum,
 )
@@ -142,7 +143,9 @@ def _witness_value(sanf, u0):
     monos = sorted(anf.monomials)
     n = sanf.n
     got = []
-    if len(monos) <= CAPACITY:
+    if n <= _ARRAY_N_MAX:  # monomial route at any list size; |u0| <= n <= 20
+        got.append(_lattice_cover(monos, u0))
+    elif len(monos) <= CAPACITY:
         got.append(cover_coefficient(monos, u0))
     if n % 2 == 0 and n <= _ARRAY_N_MAX:
         spec = _SPECTRA.get(sanf)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotbent import (
     AnfForm,
@@ -11,7 +13,9 @@ from rotbent import (
     anf_from_truth_table,
     truth_table_from_anf,
 )
-from rotbent.boolfn import TruthTable
+from rotbent.boolfn import TruthTable, _butterfly, _xor_step
+from rotbent.covercoef import _mobius_sub, _superset_sums, _zeta_add
+from rotbent.walsh import _signed_step
 
 
 def eval_anf_naive(monomials, n, i):
@@ -109,3 +113,48 @@ def test_validation_errors():
         AnfForm(2, frozenset({-1}))
     with pytest.raises(ValueError):
         AnfForm(0, frozenset())
+
+
+# step -> (kernel step, dtype the package runs it in, input range, scalar pair map)
+KERNEL_STEPS = {
+    "xor": (_xor_step, np.uint8, (0, 1), lambda lo, hi: (lo, lo ^ hi)),
+    "signed": (_signed_step, np.int32, (-1, 1), lambda lo, hi: (lo + hi, lo - hi)),
+    "zeta": (_zeta_add, np.uint8, (0, 3), lambda lo, hi: (lo, hi + lo)),
+    "mobius": (_mobius_sub, np.int32, (-3, 3), lambda lo, hi: (lo, hi - lo)),
+    "superset": (_superset_sums, np.int64, (-(1 << 30), 1 << 30), lambda lo, hi: (lo + hi, hi)),
+}
+
+
+def per_level_reference(row, pair):
+    # level h pairs entry j with j + h inside every block of 2h entries
+    a = list(row)
+    h = 1
+    while h < len(a):
+        for start in range(0, len(a), 2 * h):
+            for j in range(start, start + h):
+                a[j], a[j + h] = pair(a[j], a[j + h])
+        h *= 2
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(KERNEL_STEPS)),
+    st.integers(1, 12),
+    st.sampled_from([0, 1, 3]),  # 0: one 1-D table, else a (k, 2^n) batch
+    st.integers(0, 2**32 - 1),
+)
+@example("signed", 4, 0, 1)  # h <= 8 at every level: all on the offset loop
+@example("zeta", 4, 3, 2)
+@example("xor", 12, 3, 3)  # both branches of the kernel
+@example("superset", 12, 0, 4)
+def test_butterfly_matches_a_per_level_reference(name, n, k, seed):
+    step, dtype, (lo, hi), pair = KERNEL_STEPS[name]
+    shape = (1 << n,) if k == 0 else (k, 1 << n)
+    a = np.random.default_rng(seed).integers(lo, hi, size=shape, endpoint=True).astype(dtype)
+    want = [per_level_reference(row, pair) for row in a.reshape(-1, 1 << n).tolist()]
+    want = np.array(want, dtype=np.int64).astype(dtype).reshape(shape)  # uint8 wraps mod 256
+    got = _butterfly(a, step)
+    assert got is a and got.dtype == dtype
+    assert np.array_equal(got, want)
+

@@ -141,7 +141,15 @@ def test_hcoeff_all_u_refuses_before_allocating(capsys):
 
 @pytest.mark.parametrize(
     "n, text",
-    [(8, "x1x2x4"), (8, "x1x2+x1x3"), (10, "x1x2x3+x1x2x5"), (10, "x1x6"), (12, "x1x3x4")],
+    [
+        (8, "x1x2x4"),
+        (8, "x1x2+x1x3"),
+        (9, "x1x2x3+x1x2x5"),
+        (10, "x1x2x3+x1x2x5"),
+        (10, "x1x6"),
+        (12, "x1x3x4"),
+        (16, "x1x2x4"),
+    ],
 )
 def test_hcoeff_all_u_matches_a_per_row_reference(n, text, capsys):
     sanf = parse_sanf(text, n)
@@ -152,6 +160,8 @@ def test_hcoeff_all_u_matches_a_per_row_reference(n, text, capsys):
         rows.append({"u": mask_to_bits(u, n), "value": int(harr[u]), "v2": v2})
         if v2 == float("inf"):
             rows[-1]["v2"] = "inf"
+    # every case has negative values and H = 0 rows, whose v2 prints as "inf"
+    assert any(r["value"] < 0 for r in rows) and any(r["v2"] == "inf" for r in rows)
     want_json = json.dumps({"n": n, "sanf": format_sanf(sanf), "values": rows}) + "\n"
     want_text = "".join(f"u={r['u']} value={r['value']} v2={r['v2']}\n" for r in rows)
     argv = ["hcoeff", "-n", str(n), text, "--all-u"]

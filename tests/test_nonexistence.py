@@ -291,6 +291,33 @@ def test_witness_checks_share_one_spectrum(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["reports"] == {name: together[name]}
 
 
+@pytest.mark.parametrize("n", [16, 18])
+def test_witnesses_past_the_direct_cap_are_checked_by_both_routes(n, monkeypatch):
+    # x1x2x3+x1x2x4 expands to 2n > 24 monomials, past `cover_coefficient`'s
+    # cap: the lattice route still gives the monomial-side value
+    calls = {"lattice": 0, "spectrum": 0, "witness": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    for name, attr in [
+        ("lattice", "_lattice_cover"),
+        ("spectrum", "cover_coefficient_from_spectrum"),
+        ("witness", "verify_witness"),
+    ]:
+        monkeypatch.setattr(nonexistence, attr, counting(name, getattr(nonexistence, attr)))
+    sanf = parse_sanf("x1x2x3+x1x2x4", n)
+    assert len(orbit_expand(sanf).monomials) > 24
+    reports = dict(all_checks(sanf))
+    assert reports["block-pair"].verdict == NOT_BENT and reports["block-pair"].verified
+    assert calls["witness"] >= 1
+    assert calls["lattice"] == calls["spectrum"] == calls["witness"]
+
+
 def test_all_checks_order_and_shape():
     results = all_checks(parse_sanf("x1x2x3", 8))
     assert [name for name, _ in results] == [

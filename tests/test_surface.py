@@ -1,5 +1,6 @@
-"""The top-level exports are the names the demos, the benchmark and the README use."""
+"""Public surface: the exports the demos, bench and README use, and one transform kernel."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,3 +25,22 @@ def test_every_export_is_used_or_an_error_type():
 def test_export_count_stays_small():
     assert len(rotbent.__all__) <= 40
     assert len(set(rotbent.__all__)) == len(rotbent.__all__)
+
+
+def test_one_transform_kernel():
+    # every fast transform goes through boolfn._butterfly: the (blocks, 2, h)
+    # level view is built nowhere else
+    sites = []
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "reshape"
+                    and [ast.unparse(a) for a in node.args[:2]] == ["-1", "2"]
+                ):
+                    sites.append((path.name, func.name))
+    assert sites == [("boolfn.py", "_butterfly")]
