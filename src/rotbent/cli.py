@@ -42,6 +42,7 @@ from .rotsym import (
     sanf_truth_table,
 )
 from .search import (
+    _STATS,
     DEFAULT_BUDGET,
     SearchResult,
     SearchTask,
@@ -242,6 +243,13 @@ def cmd_nonexist(args):
     return 0 if proved else 1
 
 
+def _stats_text(stats):
+    """One line of `SearchResult.stats`: counts, then stage seconds to the ms."""
+    return " ".join(
+        f"{k}={stats[k]:.3f}" if k.endswith("_s") else f"{k}={stats[k]}" for k in _STATS
+    )
+
+
 def cmd_search(args):
     task = SearchTask(args.nvars, args.degree, _parse_shard(args.shard), args.long_run)
     threads = _thread_count()
@@ -276,6 +284,7 @@ def cmd_search(args):
     else:
         for name in payload["bent"]:
             print(name)
+        print("stats:", _stats_text(result.stats))
         print(f"{len(bent)} bent / {result.candidates} tested")
     return 0
 

@@ -19,8 +19,14 @@ Two independent routes are provided: `cover_coefficient` and
 the Walsh transform.  They must agree everywhere; tests enforce that.
 `bent_by_valuation` uses the monomial route only, so its verdict is
 independent of the Walsh test.
+
+Both monomial-route array readers share one int32 transform core: the
+public `all_cover_coefficients` widens it to int64, while
+`bent_by_valuation` reads it as is and tests divisibility instead of
+computing valuations, since v2(H) >= k iff H & (2^k - 1) == 0.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +57,12 @@ class CoverValue:
     valuation: object  # int, or math.inf for value 0
 
 
+@functools.lru_cache(maxsize=4)
 def _popcounts(n):
-    """|u| for every mask u < 2^n, as int64."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+    """|u| for every mask u < 2^n, as a shared read-only uint8 array."""
+    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8, copy=False)
+    pc.flags.writeable = False
+    return pc
 
 
 def _zeta_add(lo, hi):
@@ -71,23 +80,30 @@ def _superset_sums(lo, hi):
     np.add(lo, hi, out=lo)
 
 
-def all_cover_coefficients(monomials, n):
-    """H(u) for every u at once, straight from the monomial list.
+def _cover_int32(monomials, n):
+    """H(u) for every u as int32: the one transform behind the monomial route.
 
     Uses the exact identity H(u) = sum_{v subset u} (-1)^(|u|-|v|) (-1)^c(v)
     with c(v) the number of list monomials contained in v, which equals the
     literal subset sum term by term.  No capacity cap: cost is O(n 2^n).
     Only the parity of c(v) is used, so the count runs in uint8 (a wrap keeps
     the parity); the Moebius step runs in int32, exact since every partial
-    sum is bounded by 2^n <= 2^20 (`_ARRAY_N_MAX`).  Returns int64.
+    sum is bounded by 2^n <= 2^20 (`_ARRAY_N_MAX`).
     """
     if n > _ARRAY_N_MAX:
         raise CapacityError(f"full coefficient array needs n <= {_ARRAY_N_MAX}")
     cnt = np.zeros(1 << n, dtype=np.uint8)
     np.add.at(cnt, np.fromiter(monomials, dtype=np.intp), 1)
     _butterfly(cnt, _zeta_add)
-    signs = 1 - 2 * (cnt & 1).astype(np.int32)
-    return _butterfly(signs, _mobius_sub).astype(np.int64)
+    signs = (cnt & 1).astype(np.int32)
+    signs *= -2
+    signs += 1
+    return _butterfly(signs, _mobius_sub)
+
+
+def all_cover_coefficients(monomials, n):
+    """H(u) for every u at once, straight from the monomial list, as int64."""
+    return _cover_int32(monomials, n).astype(np.int64)
 
 
 def _walk(sub, u):
@@ -119,7 +135,7 @@ def _lattice_cover(monomials, u):
         for m in monomials
         if m & ~u == 0
     ]
-    val = int(all_cover_coefficients(compressed, len(pos))[-1])
+    val = int(_cover_int32(compressed, len(pos))[-1])
     return CoverValue(val, two_adic_valuation(val))
 
 
@@ -142,8 +158,11 @@ def cover_coefficient_from_spectrum(spectrum, u):
     n = spectrum.n
     if not 0 <= u < 1 << n:
         raise ValueError(f"mask {u} out of range for n={n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    s = int(spectrum.values[(idx & u) == u].sum())
+    idx = np.array([u], dtype=np.int64)
+    for j in range(n):  # double the index set by every bit outside u
+        if not (u >> j) & 1:
+            idx = np.concatenate((idx, idx | (1 << j)))
+    s = int(spectrum.values[idx].sum())  # the 2^(n-|u|) supersets of u
     w = u.bit_count()
     q, r = divmod(s, 1 << (n - w))
     if r:
@@ -160,36 +179,32 @@ def all_cover_from_spectrum(spectrum):
     n = spectrum.n
     s = _butterfly(spectrum.values.astype(np.int64), _superset_sums)
     pc = _popcounts(n)
-    shift = n - pc
+    shift = n - pc  # uint8, promoted to int64 by the shifts
     q = s >> shift
     if np.any(q << shift != s):
         raise InternalInconsistencyError("spectrum superset sums fail 2-power division")
     return np.where(pc & 1, -q, q)
 
 
-def _valuations(harr):
-    """Elementwise v2 as an int array, with a huge sentinel where H = 0."""
-    v2 = np.bitwise_count((harr & -harr) - 1).astype(np.int64)
-    v2[harr == 0] = np.iinfo(np.int64).max  # stands in for +infinity
-    return v2
-
-
 def bent_by_valuation(anf):
     """Bentness via the valuation criterion on the cover coefficients.
 
-    The coefficients come from the monomial list (`all_cover_coefficients`,
-    n <= 20), never from the Walsh spectrum.
+    The coefficients come from the monomial list (the int32 core of
+    `all_cover_coefficients`, n <= 20), never from the Walsh spectrum.  The
+    criterion v2(H(u)) > |u| - n/2 reads as divisibility by 2^k with
+    k = |u| - n/2 + 1, clipped at 0: one int32 mask 2^k - 1 per weight,
+    picked through the popcount array, and H & mask must vanish.  The
+    all-ones entry needs v2 exactly n/2 and is checked on its own.
     """
     n = anf.n
     if n % 2:
         raise ValueError("the valuation criterion needs an even number of variables")
-    harr = all_cover_coefficients(anf.monomials, n)
+    harr = _cover_int32(anf.monomials, n)
     full = (1 << n) - 1
-    pc = _popcounts(n)
-    v2 = _valuations(harr)
-    if harr[full] == 0 or v2[full] != n // 2:
+    if two_adic_valuation(int(harr[full])) != n // 2:
         return False
-    bound = pc - n // 2
-    bad = v2 <= bound
-    bad[full] = False
-    return not bool(np.any(bad))
+    k = np.maximum(np.arange(n + 1) - n // 2 + 1, 0)
+    bad = ((1 << k) - 1).astype(np.int32)[_popcounts(n)]
+    bad &= harr
+    bad[full] = 0
+    return not bool(bad.any())

@@ -7,8 +7,15 @@ of whole monomial orbits; the SANF keeps one canonical representative per
 orbit.  The canonical representative is the rotation whose position string
 u1 u2 ... un is lexicographically largest, i.e. ones pushed earliest; it
 always has a 1 in position 1.
+
+`canonical_rep` and `positions` are memoised in bounded LRU caches: SANF
+validation, parsing and formatting meet the same few masks over and over.
+Arguments are validated before the cache is consulted, so bad input raises
+on every call.  `enumerate_orbit_reps` canonicalises every mask of a layer
+once and bypasses the memo, which would only fill up with non-canonical masks.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -47,13 +54,20 @@ def orbit_masks(u, n):
     return [rotate(u, l, n) for l in range(cycle_length(u, n))]
 
 
+def _canonical(u, n):
+    r, full = _rev(u, n), (1 << n) - 1  # position strings compare as reversed masks
+    return _rev(max(((r << l) | (r >> (n - l))) & full for l in range(n)), n)
+
+
+_canonical_rep = functools.lru_cache(maxsize=1 << 14)(_canonical)
+
+
 def canonical_rep(u, n):
     """Canonical orbit representative (lexicographically largest position string)."""
     _check_n(n)
     if not 0 < u < 1 << n:
         raise ValueError(f"mask {u} has no canonical representative for n={n}")
-    r, full = _rev(u, n), (1 << n) - 1  # position strings compare as reversed masks
-    return _rev(max(((r << l) | (r >> (n - l))) & full for l in range(n)), n)
+    return _canonical_rep(u, n)
 
 
 def cyclic_run_count(u, n):
@@ -76,10 +90,11 @@ def enumerate_orbit_reps(n, w):
         m = 0
         for p in pos:
             m |= 1 << p
-        reps.add(canonical_rep(m, n))
+        reps.add(_canonical(m, n))  # every mask of the layer once: kept out of the memo
     return sorted(reps, key=lambda u: positions(u))
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def positions(u):
     """1-based variable indices of a monomial mask, ascending."""
     return tuple(j + 1 for j in range(u.bit_length()) if (u >> j) & 1)

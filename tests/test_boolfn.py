@@ -11,6 +11,7 @@ from rotbent import (
     AnfForm,
     algebraic_degree,
     anf_from_truth_table,
+    boolfn,
     truth_table_from_anf,
 )
 from rotbent.boolfn import TruthTable, _butterfly, _xor_step
@@ -158,3 +159,28 @@ def test_butterfly_matches_a_per_level_reference(name, n, k, seed):
     assert got is a and got.dtype == dtype
     assert np.array_equal(got, want)
 
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_STEPS))
+@pytest.mark.parametrize("span", [4, 32])  # block edge inside / above the offset-loop levels
+@pytest.mark.parametrize("k", [0, 3])
+def test_blocked_butterfly_matches_a_per_level_reference(monkeypatch, name, span, k):
+    step, dtype, (lo, hi), pair = KERNEL_STEPS[name]
+    monkeypatch.setattr(boolfn, "_BLOCK_BYTES", span * np.dtype(dtype).itemsize)
+    sizes = []
+
+    def watched(lo_view, hi_view):
+        sizes.append(lo_view.size)
+        step(lo_view, hi_view)
+
+    for n in (3, 6, 9):
+        shape = (1 << n,) if k == 0 else (k, 1 << n)
+        a = np.random.default_rng(n).integers(lo, hi, size=shape, endpoint=True).astype(dtype)
+        want = [per_level_reference(row, pair) for row in a.reshape(-1, 1 << n).tolist()]
+        want = np.array(want, dtype=np.int64).astype(dtype).reshape(shape)
+        sizes.clear()
+        assert _butterfly(a, watched) is a
+        assert np.array_equal(a, want)
+        # blocked rows start with one block's worth of level h = 1 pairs
+        rows = 1 if k == 0 else k
+        assert sizes[0] == (span // 2 if 1 << n > span else rows << (n - 1))

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output texts, JSON round-trips."""
 
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -244,6 +245,25 @@ def test_search_text(capsys):
     lines = out.splitlines()
     assert lines[-1] == "8 bent / 15 tested"
     assert "x1x5" in lines
+
+
+def test_search_text_adds_one_stats_line(capsys):
+    code, text, _ = run(["search", "-n", "8", "-d", "2"], capsys)
+    assert code == 0
+    code, out, _ = run(["search", "-n", "8", "-d", "2", "--format", "json"], capsys)
+    data = json.loads(out)
+    assert sorted(data) == ["bent", "candidates_tested", "d", "elapsed_s", "n", "shard", "stats"]
+    *names, line, last = text.splitlines()
+    assert names == data["bent"] and last == "8 bent / 15 tested"
+    assert line.startswith("stats: ")
+    fields = dict(kv.split("=") for kv in line[len("stats: ") :].split())
+    counts = ["candidates", "weight_survivors", "sieve_survivors", "spectral_tests", "hits"]
+    stages = ["tables_s", "walk_s", "sieve_s", "confirm_s"]
+    assert list(fields) == counts + stages
+    assert [int(fields[k]) for k in counts] == [data["stats"][k] for k in counts]
+    assert [int(fields[k]) for k in counts] == [15, 8, 8, 8, 8]
+    for k in stages:
+        assert re.fullmatch(r"\d+\.\d{3}", fields[k])
 
 
 def test_search_shard(capsys):

@@ -165,3 +165,73 @@ def test_transforms_return_int64():
     anf = AnfForm(10, frozenset({7, 96, 513}))
     assert walsh_spectrum(truth_table_from_anf(anf)).values.dtype == np.int64
     assert all_cover_coefficients(sorted(anf.monomials), 10).dtype == np.int64
+
+
+def test_spectrum_route_single_mask_matches_the_full_scan():
+    # the route sums W over the 2^(n-|u|) supersets of u; the definition scans
+    # all 2^n inputs c and keeps those with c & u == u
+    rng = random.Random(67)
+    for n in range(1, 9):
+        monos = random_monomials(rng, n)
+        ws = walsh_spectrum(truth_table_from_anf(AnfForm(n, frozenset(monos))))
+        values = ws.values.tolist()
+        for u in range(1 << n):  # u = 0 and the all-ones mask included
+            s = sum(w for c, w in enumerate(values) if c & u == u)
+            q, r = divmod(s, 1 << (n - u.bit_count()))
+            assert r == 0
+            want = -q if u.bit_count() % 2 else q
+            assert cover_coefficient_from_spectrum(ws, u) == CoverValue(
+                want, two_adic_valuation(want)
+            )
+
+
+def test_spectrum_route_single_mask_rejects_a_tampered_spectrum():
+    # W(all-ones) + 1 makes every superset sum odd except the one of u = all-ones,
+    # whose divisor is 2^0
+    n = 6
+    ws = walsh_spectrum(sanf_truth_table(Sanf(n, (0b11,))))
+    values = ws.values.copy()
+    values[-1] += 1
+    tampered = WalshSpectrum(n, values)
+    full = (1 << n) - 1
+    for u in range(full):
+        with pytest.raises(InternalInconsistencyError):
+            cover_coefficient_from_spectrum(tampered, u)
+    assert cover_coefficient_from_spectrum(tampered, full).value == int(values[-1])
+
+
+def _v2(x):
+    return math.inf if x == 0 else (abs(x) & -abs(x)).bit_length() - 1
+
+
+def _criterion_per_u(harr, n):
+    # v2(H(all-ones)) = n/2 and v2(H(u)) > |u| - n/2 elsewhere, one u at a time
+    full = (1 << n) - 1
+    for u, h in enumerate(harr):
+        if u == full:
+            if _v2(h) != n // 2:
+                return False
+        elif not _v2(h) > u.bit_count() - n // 2:
+            return False
+    return True
+
+
+def test_valuation_masks_match_a_per_u_evaluation_of_the_criterion():
+    # H from the spectrum route; every degree-2 and degree-3 SANF at n = 6, 8.
+    # A bent one passes the rows with |u| < n/2, where the mask is 0, on
+    # H(0) = 1 among them.
+    seen = {"H(all-ones) = 0": 0, "v2(H(all-ones)) > n/2": 0, "bent": 0}
+    for n in (6, 8):
+        for d in (2, 3):
+            reps = enumerate_orbit_reps(n, d)
+            for size in range(1, len(reps) + 1):
+                for chosen in itertools.combinations(reps, size):
+                    sanf = Sanf(n, chosen)
+                    tt = sanf_truth_table(sanf)
+                    harr = all_cover_from_spectrum(walsh_spectrum(tt)).tolist()
+                    want = _criterion_per_u(harr, n)
+                    assert bent_by_valuation(orbit_expand(sanf)) == want == is_bent(tt)
+                    seen["H(all-ones) = 0"] += harr[-1] == 0
+                    seen["v2(H(all-ones)) > n/2"] += 0 < _v2(harr[-1]) - n // 2 < math.inf
+                    seen["bent"] += want
+    assert all(seen.values()), seen

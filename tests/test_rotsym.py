@@ -18,6 +18,7 @@ from rotbent import (
     orbit_expand,
     orbit_masks,
     parse_sanf,
+    rotsym,
     sanf_truth_table,
 )
 from rotbent.rotsym import (
@@ -112,6 +113,39 @@ def test_canonical_rep_matches_the_orbit_definition():
     for bad in (0, 1 << 5, -1):
         with pytest.raises(ValueError):
             canonical_rep(bad, 5)
+
+
+def test_memoised_functions_still_validate_on_a_warm_cache():
+    n = 6
+    for u in range(1, 1 << n):
+        canonical_rep(u, n)
+        format_monomial(u)
+    for bad in (0, 1 << n, -1, 0):  # 0 twice: a refusal is never cached
+        with pytest.raises(ValueError):
+            canonical_rep(bad, n)
+    for bad_n in (0, 31, "6", 6.0):
+        with pytest.raises(ValueError):
+            canonical_rep(3, bad_n)
+    with pytest.raises(ValueError, match="not canonical"):
+        Sanf(n, (0b110,))  # x2x3 belongs to the orbit of x1x2
+    with pytest.raises(ValueError, match="share the orbit"):
+        parse_sanf("x1x2+x2x3", n)
+    assert canonical_rep(0b110, n) == 0b11
+    assert format_monomial(0b110) == "x2x3"
+
+
+def test_every_rotsym_cache_is_bounded():
+    caches = {
+        name: fn.cache_info()
+        for name, fn in vars(rotsym).items()
+        if callable(getattr(fn, "cache_info", None))
+    }
+    assert {"_canonical_rep", "positions"} <= set(caches)
+    assert all(info.maxsize is not None for info in caches.values())
+    # a layer's enumeration would fill the memo with non-canonical masks
+    rotsym._canonical_rep.cache_clear()
+    enumerate_orbit_reps(10, 4)
+    assert rotsym._canonical_rep.cache_info().currsize == 0
 
 
 def test_cycle_length():
