@@ -4,17 +4,14 @@ Exit codes: 0 for success (and affirmative predicate verdicts), 1 for a
 negative predicate verdict (not bent, or no rule fires), 2 for usage and
 capacity errors, 3 when internal cross-checks disagree.
 
-ROTBENT_THREADS > 1 splits an unsharded search into that many shard
-processes and merges their results deterministically.
+`search` runs one task in this process; to use more cores, run its
+`--shard I/T` slices as separate processes and merge their outputs.
 """
 
 import argparse
-import collections
 import dataclasses
-import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -41,28 +38,10 @@ from .rotsym import (
     parse_sanf,
     sanf_truth_table,
 )
-from .search import (
-    _STATS,
-    DEFAULT_BUDGET,
-    SearchResult,
-    SearchTask,
-    append_checkpoint,
-    exhaustive_search,
-)
+from .search import _STATS, DEFAULT_BUDGET, SearchTask, exhaustive_search
 from .walsh import is_bent, walsh_spectrum
 
 _WALSH_N_MAX = 22  # full-table routes above this are not worth materializing
-
-
-def _thread_count():
-    raw = os.environ.get("ROTBENT_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError:
-        t = 0
-    if t < 1:
-        raise ValueError(f"ROTBENT_THREADS must be a positive integer, got {raw!r}")
-    return t
 
 
 def _parse_shard(text):
@@ -252,24 +231,8 @@ def _stats_text(stats):
 
 def cmd_search(args):
     task = SearchTask(args.nvars, args.degree, _parse_shard(args.shard), args.long_run)
-    threads = _thread_count()
     started = time.perf_counter()
-    if task.shard is None and threads > 1:
-        tasks = [dataclasses.replace(task, shard=(i, threads)) for i in range(threads)]
-        search = functools.partial(exhaustive_search, budget=args.budget)
-        tested = 0
-        merged = []
-        stats = collections.Counter()
-        with multiprocessing.Pool(threads) as pool:
-            for part in pool.imap(search, tasks):
-                tested += part.candidates
-                merged.extend(part.bent)
-                stats.update(part.stats)
-                if args.checkpoint:
-                    append_checkpoint(args.checkpoint, part, args.budget, started)
-        result = SearchResult(task, tested, tuple(merged), dict(stats))
-    else:
-        result = exhaustive_search(task, args.budget, args.checkpoint)
+    result = exhaustive_search(task, args.budget, args.checkpoint)
     bent = tuple(sorted(result.bent, key=lambda s: s.reps))
     payload = dataclasses.replace(result, bent=bent).as_dict()
     payload["elapsed_s"] = round(time.perf_counter() - started, 3)

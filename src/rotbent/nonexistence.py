@@ -143,7 +143,7 @@ def _witness_value(sanf, u0):
     monos = sorted(anf.monomials)
     n = sanf.n
     got = []
-    if n <= _ARRAY_N_MAX:  # monomial route at any list size; |u0| <= n <= 20
+    if u0.bit_count() <= _ARRAY_N_MAX:  # monomial route at any list size and any n
         got.append(_lattice_cover(monos, u0))
     elif len(monos) <= CAPACITY:
         got.append(cover_coefficient(monos, u0))

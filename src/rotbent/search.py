@@ -33,7 +33,6 @@ from .rotsym import (
     Sanf,
     enumerate_orbit_reps,
     format_sanf,
-    orbit_count,
     orbit_expand,
     orbit_masks,
     rotate,
@@ -111,14 +110,12 @@ def _params_hash(task, budget):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def append_checkpoint(path, result, budget, started, span=None):
+def _append_checkpoint(path, result, budget, started, span):
     """Append one JSON-lines record of `result` to the checkpoint file.
 
-    `span` is the Gray range [lo, hi) the record covers, by default the whole
-    of the task's shard; `started` is the perf_counter reading of the run start.
+    `span` is the Gray range [lo, hi) the record covers; `started` is the
+    perf_counter reading of the run start.
     """
-    if span is None:
-        span = _shard_range(result.task, orbit_count(result.task.n, result.task.d))
     record = result.as_dict()
     record.update(
         range=list(span),
@@ -268,7 +265,7 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
         if checkpoint_path is not None:
             so_far = tuple(sanf for _, sanf in sorted(hits))
             result = SearchResult(task, chunk_hi - lo, so_far, dict(stats))
-            append_checkpoint(
+            _append_checkpoint(
                 checkpoint_path, result, budget, started, (chunk_lo, chunk_hi)
             )
     bent = tuple(sanf for _, sanf in sorted(hits))

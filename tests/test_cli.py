@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from rotbent import (
+    all_checks,
     all_cover_coefficients,
     format_sanf,
     mask_to_bits,
@@ -219,18 +220,29 @@ def test_nonexist_json(capsys):
 
 
 def test_nonexist_marks_witnesses_beyond_numeric_reach(capsys):
-    # x1x2x3+x1x2x4 at n=22: 44 monomials and 2^22 inputs, so neither cover
-    # route can recompute the block-pair witness
-    argv = ["nonexist", "-n", "22", "x1x2x3+x1x2x4"]
+    # x1x2x3+x1x2x4 at n=24: 48 monomials, 2^24 inputs and |u0| = 21, so no
+    # cover route can recompute the block-pair witness
+    argv = ["nonexist", "-n", "24", "x1x2x3+x1x2x4"]
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0
     pair = json.loads(out)["reports"]["block-pair"]
     assert pair["verdict"] == "NOT_BENT" and pair["verified"] is False
     code, out, _ = run(argv, capsys)
     assert out == (
-        "NOT_BENT rule=block-pair u0=1111111111111111110000 k=6 v2=6 unverified "
-        "(k=6 chain of x1x2x3)\n"
+        "NOT_BENT rule=block-pair u0=111111111111111111111000 k=7 v2=7 unverified "
+        "(k=7 chain of x1x2x3)\n"
     )
+    # at n=22 the witness has |u0| = 18: the lattice recomputes it from the
+    # 44 monomials, H(u0) = -832 = -2^6 * 13
+    code, out, _ = run(["nonexist", "-n", "22", "x1x2x3+x1x2x4"], capsys)
+    assert out == (
+        "NOT_BENT rule=block-pair u0=1111111111111111110000 k=6 v2=6 (k=6 chain of x1x2x3)\n"
+    )
+    for n in (22, 24):
+        for text in ("x1x2x3", "x1x2x3+x1x2x4", "x1x2x3+x1x3x8"):
+            for name, rep in all_checks(parse_sanf(text, n)):
+                if rep.witness_u0 is not None and rep.witness_u0.bit_count() <= 20:
+                    assert rep.verified is True, (n, text, name)
     code, out, _ = run(["nonexist", "-n", "12", "x1x2x3", "--format", "json"], capsys)
     reports = json.loads(out)["reports"]
     for name in ("shift-chain", "leading-block", "sparse-triple"):
@@ -307,16 +319,28 @@ def test_search_budget_guidance(capsys):
     assert "shards" in err
 
 
-def test_search_threads_env(monkeypatch, capsys):
-    plain = run(["search", "-n", "8", "-d", "2", "--format", "json"], capsys)
-    monkeypatch.setenv("ROTBENT_THREADS", "2")
-    threaded = run(["search", "-n", "8", "-d", "2", "--format", "json"], capsys)
-    assert plain[0] == threaded[0] == 0
-    a, b = json.loads(plain[1]), json.loads(threaded[1])
-    assert a["bent"] == b["bent"]
-    assert a["candidates_tested"] == b["candidates_tested"]
-    counts = ("candidates", "weight_survivors", "sieve_survivors", "hits")
-    assert [a["stats"][k] for k in counts] == [b["stats"][k] for k in counts] == [15, 8, 8, 8]
+def test_search_ignores_the_threads_variable(tmp_path, monkeypatch, capsys):
+    # one run path: the budget guard and the checkpoint records do not depend
+    # on the environment
+    argv = ["search", "-n", "8", "-d", "3"]
+    records = {}
+    monkeypatch.delenv("ROTBENT_THREADS", raising=False)
+    for threads in ("", "2"):
+        if threads:
+            monkeypatch.setenv("ROTBENT_THREADS", threads)
+        code, out, err = run(argv + ["--budget", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert "127 candidates exceed the budget of 100: split into at least 2 shards" in err
+        path = tmp_path / f"run{threads}.jsonl"
+        assert run(argv + ["--checkpoint", str(path)], capsys)[0] == 0
+        records[threads] = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records[threads]:  # drop the timings
+            del record["elapsed_s"]
+            record["stats"] = {k: v for k, v in record["stats"].items() if k[-2:] != "_s"}
+    assert records[""] == records["2"]
+    assert [(r["shard"], r["range"], r["candidates_tested"]) for r in records[""]] == [
+        (None, [1, 128], 127)
+    ]
 
 
 def test_search_rejects_a_budget_below_one_and_the_old_mode_option(capsys):
@@ -326,19 +350,6 @@ def test_search_rejects_a_budget_below_one_and_the_old_mode_option(capsys):
         assert (code, out) == (2, "")
         assert f"budget must be a positive candidate count, got {budget}" in err
     assert run(argv + ["--mode", "full"], capsys)[0] == 2
-
-
-def test_search_threads_checkpoint_partitions_the_space(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "search.jsonl"
-    monkeypatch.setenv("ROTBENT_THREADS", "2")
-    argv = ["search", "-n", "8", "-d", "3", "--checkpoint", str(path)]
-    code, _, _ = run(argv, capsys)
-    assert code == 0
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["shard"] for r in records] == [[0, 2], [1, 2]]
-    assert [r["range"] for r in records] == [[1, 64], [64, 128]]
-    assert sum(r["candidates_tested"] for r in records) == 127
-    assert len({r["params_hash"] for r in records}) == 2
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -23,6 +23,7 @@ from rotbent import (
     truth_table_from_anf,
     walsh_spectrum,
 )
+from rotbent import covercoef
 from rotbent.covercoef import (
     CAPACITY,
     CoverValue,
@@ -49,18 +50,25 @@ def random_monomials(rng, n, maxm=10):
     return sorted(rng.sample(range(1 << n), k=rng.randint(1, min(maxm, 1 << n))))
 
 
-def test_direct_route_matches_naive():
+def test_direct_route_matches_naive(monkeypatch):
     rng = random.Random(51)
+    cases = []
     for _ in range(40):
         n = rng.randint(1, 8)
         monos = random_monomials(rng, n)
         want = cover_naive(monos, n)
-        harr = all_cover_coefficients(monos, n)
+        harr = all_cover_coefficients(monos, n)  # before the cap drops: it refuses n > cap
         assert list(harr) == want
-        for u in range(1 << n):
-            cv = cover_coefficient(monos, u)
-            assert cv.value == want[u]
-            assert cv.valuation == two_adic_valuation(want[u])
+        cases.append((monos, want))
+    # the second pass puts every nonzero u past the array cap, onto the pruned
+    # subset walk: the only route for |u| > 20
+    for cap in (covercoef._ARRAY_N_MAX, 0):
+        monkeypatch.setattr(covercoef, "_ARRAY_N_MAX", cap)
+        for monos, want in cases:
+            for u, h in enumerate(want):
+                cv = cover_coefficient(monos, u)
+                assert cv.value == h
+                assert cv.valuation == two_adic_valuation(h)
 
 
 def test_single_monomial():

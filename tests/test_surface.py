@@ -1,4 +1,5 @@
-"""Public surface: the exports the demos, bench and README use, and one transform kernel."""
+"""Public surface: the exports the demos, bench and README use, one transform
+kernel, and one run path set by arguments alone."""
 
 import ast
 import re
@@ -44,3 +45,23 @@ def test_one_transform_kernel():
                 ):
                     sites.append((path.name, func.name))
     assert sites == [("boolfn.py", "_butterfly")]
+
+
+def test_no_environment_knobs_or_worker_pools():
+    # a run is set by its arguments and runs in one process; parallel searches
+    # are --shard slices started as separate processes
+    pools = {"multiprocessing", "concurrent", "threading"}
+    env = {"environ", "environb", "getenv", "getenvb"}
+    sites = []
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            sites += [(path.name, m) for m in names if m.split(".")[0] in pools or m in env]
+    assert sites == []
