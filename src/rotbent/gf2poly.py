@@ -13,11 +13,18 @@ cross-checked in the tests:
   * circulant route: nonsingularity of the circulant matrix of that row,
   * rank route: full rank of the symmetric adjacency matrix of the
     quadratic part (valid for any quadratic function, not just symmetric).
+
+`classify_degree2` evaluates the gcd route for every subset at once by
+residues: with n = 2^k m and m odd, x^n + 1 = (x^m + 1)^(2^k), and x^m + 1
+is squarefree, so p is coprime with x^n + 1 exactly when p mod g != 0 for
+every irreducible factor g of x^m + 1.  Each hit is re-tested by the gcd.
 """
 
-from itertools import combinations
+from functools import lru_cache
 
-from .boolfn import algebraic_degree
+import numpy as np
+
+from .boolfn import _check_n, algebraic_degree
 from .errors import InternalInconsistencyError
 from .rotsym import Sanf, positions, rotate
 
@@ -54,7 +61,13 @@ def gf2_divmod(a, b):
 
 
 def gf2_mod(a, b):
-    return gf2_divmod(a, b)[1]
+    """Remainder of a by b over GF(2); no quotient is built."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = b.bit_length()
+    while (shift := a.bit_length() - db) >= 0:
+        a ^= b << shift
+    return a
 
 
 def gf2_gcd(a, b):
@@ -147,24 +160,64 @@ def is_bent_quadratic(anf):
     return rank_gf2(rows) == n
 
 
+@lru_cache(maxsize=32)
+def _factors(n):
+    """Irreducible factors of x^m + 1, n = 2^k m with m odd, lowest first.
+
+    Trial division by every polynomial with a constant term, in increasing
+    order, removing each divisor completely: a divisor found this way has
+    no factor of lower degree left, so it is irreducible.
+    """
+    m = n >> ((n & -n).bit_length() - 1)
+    target = (1 << m) | 1
+    rest, found, g = target, [], 0b11
+    while 2 * gf2_degree(g) <= gf2_degree(rest):
+        q, r = gf2_divmod(rest, g)
+        if r:
+            g += 2
+        else:
+            found.append(g)
+            rest = q
+    if rest != 1:
+        found.append(rest)
+    product = 1
+    for g in found:
+        product = gf2_mul(product, g)
+    if product != target:
+        raise InternalInconsistencyError(f"factors of x^{m} + 1 multiply to {poly_str(product)}")
+    return tuple(found)
+
+
 def classify_degree2(n):
     """All bent homogeneous degree-2 rotation-symmetric functions on n variables.
 
-    Tries every nonempty subset of e-values in [2, n/2+1] through the gcd
-    route on its row polynomial; only the coprime ones become a `Sanf`, which
-    is re-tested by `is_bent_degree2_rots`.  Output is ordered by subset
-    size, then lexicographically.
+    A subset S of e-values in [2, n/2+1] has the row polynomial p_S, the XOR
+    of its terms, so p_S mod g is the XOR of the terms' residues.  Per
+    irreducible factor g of x^m + 1 the residues of all 2^(n/2) subsets are
+    built by doubling, r[S | bit_i] = r[S] ^ (term_i mod g); the coprime
+    subsets are those with every residue nonzero.  Each becomes a `Sanf`
+    re-tested by `is_bent_degree2_rots`, the gcd with x^n + 1.  Output is
+    ordered by subset size, then lexicographically.
     """
-    if n % 2 or n < 2:
+    _check_n(n)
+    if n % 2:
         raise ValueError("classification needs even n >= 2")
-    terms = {e: _e_term(e, n) for e in range(2, n // 2 + 2)}
+    evals = range(2, n // 2 + 2)
+    terms = [_e_term(e, n) for e in evals]
+    coprime = np.ones(1 << len(terms), dtype=bool)
+    for g in _factors(n):
+        res = np.zeros(1, dtype=np.min_scalar_type(g))
+        for t in terms:
+            res = np.concatenate((res, res ^ gf2_mod(t, g)))
+        coprime &= res != 0
+    combos = sorted(
+        (s.bit_count(), tuple(e for i, e in enumerate(evals) if s >> i & 1))
+        for s in np.flatnonzero(coprime).tolist()
+    )
     found = []
-    for size in range(1, len(terms) + 1):
-        for combo in combinations(terms, size):
-            if gf2_gcd(sum(terms[e] for e in combo), (1 << n) | 1) != 1:
-                continue
-            sanf = Sanf(n, tuple(1 | (1 << (e - 1)) for e in combo))
-            if not is_bent_degree2_rots(sanf):
-                raise InternalInconsistencyError(f"gcd routes disagree on {sanf}")
-            found.append(sanf)
+    for _, combo in combos:
+        sanf = Sanf(n, tuple(1 | (1 << (e - 1)) for e in combo))
+        if not is_bent_degree2_rots(sanf):
+            raise InternalInconsistencyError(f"residue and gcd routes disagree on {sanf}")
+        found.append(sanf)
     return found

@@ -1,5 +1,8 @@
 """Command-line surface: exit codes, output texts, JSON round-trips."""
 
+import argparse
+import contextlib
+import io
 import json
 import re
 import tracemalloc
@@ -14,7 +17,8 @@ from rotbent import (
     orbit_expand,
     parse_sanf,
 )
-from rotbent.cli import main
+from rotbent import gf2poly
+from rotbent.cli import build_parser, main
 from rotbent.covercoef import two_adic_valuation
 
 
@@ -97,6 +101,20 @@ def test_classify_odd_n(capsys):
     code, _, err = run(["classify-deg2", "-n", "7"], capsys)
     assert code == 2
     assert "even" in err
+
+
+def test_classify_refuses_n_past_the_cap(capsys):
+    code, out, err = run(["classify-deg2", "-n", "32"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "n must be an int in [1, 30]" in err
+
+
+def test_classify_disagreement_is_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(gf2poly, "_factors", lambda n: (0b11, 0b111))  # x^6+x^3+1 dropped
+    code, _, err = run(["classify-deg2", "-n", "18"], capsys)
+    assert code == 3
+    assert err.startswith("inconsistency:")
 
 
 def test_spectrum(capsys):
@@ -355,3 +373,43 @@ def test_search_rejects_a_budget_below_one_and_the_old_mode_option(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    # option sequences whose state could leak between calls on a shared parser
+    sequences = [
+        ["hcoeff -n 6 x1x2x3 --all-u", "hcoeff -n 6 x1x2x3 --u 111100"],
+        [
+            "nonexist -n 6 x1x2x3 --compare",
+            "nonexist -n 6 x1x2x3 --rule shift-chain",
+            "nonexist -n 6 x1x2x3",
+        ],
+        ["search -n 6 -d 2 --shard 0/2", "search -n 6 -d 2"],
+        ["bent-check -n 6 x1x4 --method walsh", "bent-check -n 6 x1x4"],
+    ]
+    stats = re.compile(r"_s=[0-9.]+")  # stage timings vary from run to run
+
+    def output(call):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = call()
+        return code, stats.sub("_s=T", buf.getvalue())
+
+    assert build_parser() is build_parser()
+    for seq in sequences:
+        for argv in map(str.split, seq):
+            fresh = build_parser.__wrapped__().parse_args(argv)
+            assert vars(build_parser().parse_args(argv)) == vars(fresh)
+            assert output(lambda: main(argv)) == output(lambda: fresh.func(fresh)), argv
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for seq in sequences:
+        output(lambda: main(seq[0].split()))
+    assert built == []  # main builds no parser once one exists

@@ -20,7 +20,8 @@ from rotbent import (
     rots_quadratic_poly,
     sanf_truth_table,
 )
-from rotbent.gf2poly import gf2_degree, gf2_divmod, gf2_mod, gf2_mul, rank_gf2
+from rotbent import gf2poly
+from rotbent.gf2poly import _factors, gf2_degree, gf2_divmod, gf2_mod, gf2_mul, rank_gf2
 from rotbent.rotsym import sanf_from_masks
 
 
@@ -168,3 +169,68 @@ def test_quadratic_route_rejects_higher_degree():
 def test_classify_rejects_odd_n():
     with pytest.raises(ValueError):
         classify_degree2(7)
+
+
+def test_mod_matches_divmod():
+    rng = random.Random(97)
+    pairs = [(0, 1), (0, 0b1011), (0b101, 0b1011), (0b1011, 0b1011), (1, 1)]
+    for _ in range(500):
+        b = rng.randrange(1, 1 << rng.randint(1, 20))
+        pairs.append((rng.randrange(1 << rng.randint(1, 40)), b))
+        pairs.append((rng.randrange(b), b))  # a < b as ints
+    for a, b in pairs:
+        assert gf2_mod(a, b) == gf2_divmod(a, b)[1], (a, b)
+    for a in (0, 1, 0b1011):
+        with pytest.raises(ZeroDivisionError):
+            gf2_mod(a, 0)
+
+
+def test_factors_are_the_irreducible_factorisation_of_x_m_plus_1():
+    for n in range(2, 31, 2):
+        m = n
+        while m % 2 == 0:
+            m //= 2
+        factors = _factors(n)
+        product = 1
+        for g in factors:
+            product = gf2_mul(product, g)
+        assert product == (1 << m) | 1, n
+        assert len(set(factors)) == len(factors), n
+        for g in factors:
+            d = gf2_degree(g)
+            divisors = range(2, 1 << (d // 2 + 1))  # every degree 1 .. d/2
+            assert all(gf2_mod(g, h) for h in divisors), (n, poly_str(g))
+    assert _factors.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("n", [18, 20, 22, 24])
+def test_residue_route_matches_the_gcd_of_every_subset(n):
+    evals = range(2, n // 2 + 2)
+    want = []
+    for size in range(1, len(evals) + 1):
+        for combo in itertools.combinations(evals, size):
+            p = 0
+            for e in combo:
+                p ^= gf2poly._e_term(e, n)
+            if gf2_gcd(p, (1 << n) | 1) == 1:
+                want.append(tuple(1 | (1 << (e - 1)) for e in combo))
+    assert [s.reps for s in classify_degree2(n)] == want
+
+
+def test_classify_counts_where_x_n_plus_1_is_a_power_of_x_plus_1():
+    # p is coprime with (x + 1)^n iff p(1) = 1; each pair term
+    # x^(e-1) + x^(n+1-e) is 0 at x = 1 and the middle term x^(n/2) is 1,
+    # so exactly the subsets holding e = n/2 + 1 are bent
+    for n in (2, 4, 8, 16):
+        assert len(classify_degree2(n)) == 2 ** (n // 2 - 1), n
+
+
+def test_classify_checks_n_before_any_residue_work(monkeypatch):
+    def refuse(n):
+        raise AssertionError("factored x^m + 1 for an invalid n")
+
+    monkeypatch.setattr(gf2poly, "_factors", refuse)
+    for n in (32, 0, 8.0, "8", None):
+        with pytest.raises(ValueError):
+            classify_degree2(n)
+
