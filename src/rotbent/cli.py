@@ -9,7 +9,6 @@ capacity errors, 3 when internal cross-checks disagree.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -234,8 +233,7 @@ def cmd_search(args):
     task = SearchTask(args.nvars, args.degree, _parse_shard(args.shard), args.long_run)
     started = time.perf_counter()
     result = exhaustive_search(task, args.budget, args.checkpoint)
-    bent = tuple(sorted(result.bent, key=lambda s: s.reps))
-    payload = dataclasses.replace(result, bent=bent).as_dict()
+    payload = result.as_dict()
     payload["elapsed_s"] = round(time.perf_counter() - started, 3)
     if args.out:  # write-then-rename: a killed run never leaves a torn file
         tmp = f"{args.out}.tmp"
@@ -249,7 +247,7 @@ def cmd_search(args):
         for name in payload["bent"]:
             print(name)
         print("stats:", _stats_text(result.stats))
-        print(f"{len(bent)} bent / {result.candidates} tested")
+        print(f"{len(result.bent)} bent / {result.candidates} tested")
     return 0
 
 

@@ -7,13 +7,12 @@ OR-combining rotations of a representative, a chain length k, and the
 claimed 2-adic valuation of the cover coefficient H(u0).  A valid witness
 violates the valuation criterion, so the function cannot be bent.
 
-The rules never trust their own pattern analysis blindly: before a witness
-is emitted, its valuation is recomputed numerically (both cover-coefficient
-routes, which must agree) and the report is only released when the claimed
-valuation is exact and the violation is real.  Pattern edge cases therefore
-degrade to INCONCLUSIVE instead of to an unsound verdict.  A witness beyond
-numeric reach is released on the structural argument alone and says so:
-its report carries `verified=False`.
+The rules never trust their own pattern analysis: `_try_witness` is the one
+place a witness becomes a verdict.  It recomputes H(u0) numerically (every
+feasible cover-coefficient route, which must agree) and releases NOT_BENT
+only when the claimed valuation is exact and the violation is real.  A
+witness that fails the check, or that no route can recompute, declines
+with an INCONCLUSIVE report saying which.
 
 Soundness contract: no checker may return NOT_BENT on a function the Walsh
 test finds bent.  The test suite sweeps this over every homogeneous degree-3
@@ -21,7 +20,7 @@ SANF on 6, 8 and 10 variables.
 """
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .boolfn import truth_table_from_anf
 from .covercoef import (
@@ -60,7 +59,6 @@ class NonexistenceReport:
     witness_k: object = None
     claimed_valuation: object = None
     detail: str = ""
-    verified: object = None  # witness recomputed (True), out of reach (False), or None
 
     def as_dict(self):
         return {
@@ -73,7 +71,6 @@ class NonexistenceReport:
             "witness_k": self.witness_k,
             "claimed_valuation": self.claimed_valuation,
             "detail": self.detail,
-            "verified": self.verified,
         }
 
     def text(self):
@@ -82,8 +79,6 @@ class NonexistenceReport:
             parts.append(f"u0={mask_to_bits(self.witness_u0, self.n)}")
             parts.append(f"k={self.witness_k}")
             parts.append(f"v2={self.claimed_valuation}")
-        if self.verified is False:
-            parts.append("unverified")
         if self.detail:
             parts.append(f"({self.detail})")
         return " ".join(parts)
@@ -113,9 +108,9 @@ def _block_chain(u1, step, k, n):
     return u0
 
 
-def _gate(sanf, rule, degree3=True):
-    """Checks shared by the rules: odd n, the n/2 degree bound and, unless
-    `degree3` is off, homogeneous degree >= 3.  None when all pass."""
+def _gate(sanf, rule):
+    """Checks shared by the rules: odd n, the n/2 degree bound and
+    homogeneous degree >= 3.  None when all pass."""
     n = sanf.n
     if n % 2:
         return NonexistenceReport(
@@ -130,7 +125,7 @@ def _gate(sanf, rule, degree3=True):
             detail=f"degree {deg} exceeds the bent bound n/2 = {n // 2}",
         )
     d = sanf.homogeneous_degree
-    if degree3 and (d is None or d < 3):
+    if d is None or d < 3:
         return NonexistenceReport(
             n, rule, INCONCLUSIVE, detail="rule needs homogeneous degree >= 3"
         )
@@ -182,15 +177,20 @@ def verify_witness(sanf, report):
 
 
 def _try_witness(sanf, rule, u0, k, claimed, detail):
-    """A NOT_BENT report whose witness is recomputed; None when it fails."""
+    """The one place a witness becomes a verdict.
+
+    The NOT_BENT report when `verify_witness` recomputes H(u0) and the
+    violation holds; otherwise an INCONCLUSIVE report for the same rule
+    whose detail says why, with the rule's own detail in parentheses.
+    """
     report = NonexistenceReport(sanf.n, rule, NOT_BENT, u0, k, claimed, detail)
     try:
-        if not verify_witness(sanf, report):
-            return None
-        verified = True
-    except CapacityError:  # out of numeric reach: released on the structural argument
-        verified = False
-    return replace(report, verified=verified)
+        if verify_witness(sanf, report):
+            return report
+        why = "witness did not verify"
+    except CapacityError:
+        why = "witness beyond numeric reach"
+    return NonexistenceReport(sanf.n, rule, INCONCLUSIVE, detail=f"{why} ({detail})")
 
 
 def check_shift_chain(sanf):
@@ -233,7 +233,7 @@ def check_shift_chain(sanf):
                 k,
                 f"k={k} l={l} d1={d1} chain of {format_monomial(u1)}",
             )
-            if report:
+            if report.verdict == NOT_BENT:
                 return report
     return NonexistenceReport(
         n, "shift-chain", INCONCLUSIVE, detail="no chain instantiation fires"
@@ -272,8 +272,6 @@ def check_leading_block(sanf):
         k, u0 = q - 1, _block_chain(block, d, q - 1, n)
     return _try_witness(
         sanf, "leading-block", u0, k, k, f"k={k} chain of {format_monomial(block)}"
-    ) or NonexistenceReport(
-        n, "leading-block", INCONCLUSIVE, detail="witness did not verify"
     )
 
 
@@ -304,22 +302,18 @@ def check_block_pair(sanf):
     report = _try_witness(
         sanf, "block-pair", u0, k, k, f"k={k} chain of {format_monomial(block)}"
     )
-    if report:
+    if report.verdict == NOT_BENT or n > _ARRAY_N_MAX:  # no table past the cap
         return report
-    if n <= _ARRAY_N_MAX:
-        if not is_bent(sanf_truth_table(sanf)):
-            return NonexistenceReport(
-                n,
-                "block-pair",
-                NOT_BENT,
-                detail="direct spectral verification (chain witness does not violate "
-                "the valuation bound at these parameters)",
-            )
-        return NonexistenceReport(  # unreachable for this shape; stay sound anyway
-            n, "block-pair", INCONCLUSIVE, detail="function tested bent"
+    if not is_bent(sanf_truth_table(sanf)):
+        return NonexistenceReport(
+            n,
+            "block-pair",
+            NOT_BENT,
+            detail="direct spectral verification (chain witness does not violate "
+            "the valuation bound at these parameters)",
         )
-    return NonexistenceReport(
-        n, "block-pair", INCONCLUSIVE, detail="witness did not verify"
+    return NonexistenceReport(  # unreachable for this shape; stay sound anyway
+        n, "block-pair", INCONCLUSIVE, detail="function tested bent"
     )
 
 
@@ -342,7 +336,7 @@ def check_sparse_triple(sanf):
     of the filled window u2 (the OR of n0+1 consecutive rotations of u1) and
     claims valuation q*(n0+1).
     """
-    gate = _gate(sanf, "sparse-triple", degree3=False)
+    gate = _gate(sanf, "sparse-triple")
     if gate:
         return gate
     n = sanf.n
@@ -372,8 +366,6 @@ def check_sparse_triple(sanf):
         q,
         q * (n0 + 1),
         f"{shape} window u2={mask_to_bits(u2, n)}",
-    ) or NonexistenceReport(
-        n, "sparse-triple", INCONCLUSIVE, detail=f"witness did not verify with {shape}"
     )
 
 

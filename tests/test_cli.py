@@ -16,6 +16,7 @@ from rotbent import (
     mask_to_bits,
     orbit_expand,
     parse_sanf,
+    verify_witness,
 )
 from rotbent import gf2poly
 from rotbent.cli import build_parser, main
@@ -239,17 +240,19 @@ def test_nonexist_json(capsys):
 
 def test_nonexist_marks_witnesses_beyond_numeric_reach(capsys):
     # x1x2x3+x1x2x4 at n=24: 48 monomials, 2^24 inputs and |u0| = 21, so no
-    # cover route can recompute the block-pair witness
+    # cover route can recompute the block-pair witness and the rule declines
     argv = ["nonexist", "-n", "24", "x1x2x3+x1x2x4"]
     code, out, _ = run(argv + ["--format", "json"], capsys)
-    assert code == 0
+    assert code == 1
     pair = json.loads(out)["reports"]["block-pair"]
-    assert pair["verdict"] == "NOT_BENT" and pair["verified"] is False
+    assert pair["verdict"] == "INCONCLUSIVE"
+    assert pair["detail"] == "witness beyond numeric reach (k=7 chain of x1x2x3)"
     code, out, _ = run(argv, capsys)
-    assert out == (
-        "NOT_BENT rule=block-pair u0=111111111111111111111000 k=7 v2=7 unverified "
-        "(k=7 chain of x1x2x3)\n"
-    )
+    assert code == 1
+    assert (
+        "block-pair     INCONCLUSIVE rule=block-pair "
+        "(witness beyond numeric reach (k=7 chain of x1x2x3))"
+    ) in out.splitlines()
     # at n=22 the witness has |u0| = 18: the lattice recomputes it from the
     # 44 monomials, H(u0) = -832 = -2^6 * 13
     code, out, _ = run(["nonexist", "-n", "22", "x1x2x3+x1x2x4"], capsys)
@@ -258,15 +261,14 @@ def test_nonexist_marks_witnesses_beyond_numeric_reach(capsys):
     )
     for n in (22, 24):
         for text in ("x1x2x3", "x1x2x3+x1x2x4", "x1x2x3+x1x3x8"):
-            for name, rep in all_checks(parse_sanf(text, n)):
-                if rep.witness_u0 is not None and rep.witness_u0.bit_count() <= 20:
-                    assert rep.verified is True, (n, text, name)
+            sanf = parse_sanf(text, n)
+            for name, rep in all_checks(sanf):
+                if rep.witness_u0 is not None:
+                    assert verify_witness(sanf, rep), (n, text, name)
     code, out, _ = run(["nonexist", "-n", "12", "x1x2x3", "--format", "json"], capsys)
     reports = json.loads(out)["reports"]
     for name in ("shift-chain", "leading-block", "sparse-triple"):
-        assert reports[name]["witness_u0"] is not None and reports[name]["verified"] is True
-    for name in ("block-pair", "gap-bounds"):  # no witness carried
-        assert reports[name]["verified"] is None
+        assert reports[name]["witness_u0"] is not None
 
 
 def test_search_text(capsys):
@@ -294,6 +296,19 @@ def test_search_text_adds_one_stats_line(capsys):
     assert [int(fields[k]) for k in counts] == [15, 8, 8, 8, 8]
     for k in stages:
         assert re.fullmatch(r"\d+\.\d{3}", fields[k])
+
+
+def test_search_lists_hits_in_subset_index_order(tmp_path, capsys):
+    # stdout, the --out file and the last checkpoint record list the same
+    # hits in the same order
+    out, log = tmp_path / "result.json", tmp_path / "run.jsonl"
+    argv = ["search", "-n", "8", "-d", "2", "--format", "json"]
+    code, text, _ = run(argv + ["--out", str(out), "--checkpoint", str(log)], capsys)
+    assert code == 0
+    printed = json.loads(text)["bent"]
+    assert len(printed) == 8 and printed[0] == "x1x5"
+    assert json.loads(out.read_text())["bent"] == printed
+    assert json.loads(log.read_text().splitlines()[-1])["bent"] == printed
 
 
 def test_search_shard(capsys):

@@ -47,6 +47,29 @@ def test_one_transform_kernel():
     assert sites == [("boolfn.py", "_butterfly")]
 
 
+def test_one_witness_release_path():
+    # a report that carries witness fields is built only in
+    # nonexistence._try_witness, which releases it after verify_witness
+    witness = {"witness_u0", "witness_k", "claimed_valuation"}
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "NonexistenceReport"
+            and (len(node.args) > 3 or witness & {kw.arg for kw in node.keywords})
+        ):
+            sites.append((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert sites == [("nonexistence.py", "_try_witness")]
+
+
 def test_no_environment_knobs_or_worker_pools():
     # a run is set by its arguments and runs in one process; parallel searches
     # are --shard slices started as separate processes
