@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from .covercoef import (
-    CAPACITY,
     _popcounts,
     all_cover_coefficients,
     bent_by_valuation,
@@ -168,14 +167,12 @@ def cmd_hcoeff(args):
             print(_all_u_rows(n, harr, "u=", lambda h, v: f" value={h} v2={v}", "\n"))
         return 0
     u = bits_to_mask(args.u, n)
-    if len(monos) <= CAPACITY:
+    try:
         cv = cover_coefficient(monos, u)
-    elif n <= _WALSH_N_MAX:
+    except CapacityError:
+        if n > _WALSH_N_MAX:
+            raise
         cv = cover_coefficient_from_spectrum(walsh_spectrum(sanf_truth_table(sanf)), u)
-    else:
-        raise CapacityError(
-            f"{len(monos)} monomials on n={n}: both coefficient routes are out of reach"
-        )
     v2 = _v2_text(cv.valuation)
     if args.format == "json":
         print(

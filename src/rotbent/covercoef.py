@@ -17,13 +17,17 @@ Two independent routes are provided: `cover_coefficient` and
 `all_cover_coefficients` work straight off the monomial list,
 `cover_coefficient_from_spectrum` and `all_cover_from_spectrum` go through
 the Walsh transform.  They must agree everywhere; tests enforce that.
+`cover_coefficient` picks its own way to one H(u): the coefficient lattice
+on the support of u at any list size when |u| <= 20, and past that a
+literal subset walk capped at 24 monomials.
 `bent_by_valuation` uses the monomial route only, so its verdict is
 independent of the Walsh test.
 
-Both monomial-route array readers share one int32 transform core: the
-public `all_cover_coefficients` widens it to int64, while
-`bent_by_valuation` reads it as is and tests divisibility instead of
-computing valuations, since v2(H) >= k iff H & (2^k - 1) == 0.
+The monomial route runs on one int32 transform core: the public
+`all_cover_coefficients` widens it to int64, `cover_coefficient` reads its
+all-ones entry on the support of u, and `bent_by_valuation` reads it as is
+and tests divisibility instead of computing valuations, since v2(H) >= k
+iff H & (2^k - 1) == 0.
 """
 
 import functools
@@ -35,7 +39,7 @@ import numpy as np
 from .boolfn import _butterfly
 from .errors import CapacityError, InternalInconsistencyError
 
-CAPACITY = 24  # cap on the monomial-list size for the single-mask `cover_coefficient`
+CAPACITY = 24  # cap on the monomial-list size for `cover_coefficient`'s subset walk
 _ARRAY_N_MAX = 20  # full 2^n arrays (spectra, coefficients, witness checks) stop here
 
 INFINITE = math.inf
@@ -122,34 +126,31 @@ def _walk(sub, u):
     return rec(0, 0)
 
 
-def _lattice_cover(monomials, u):
-    """H(u) for one u with |u| <= `_ARRAY_N_MAX`, from a monomial list of any size.
-
-    The monomials inside u are compressed onto its |u| set positions and
-    H(u) is the all-ones entry of their `all_cover_coefficients`.
-    """
-    pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
-    place = {p: i for i, p in enumerate(pos)}
-    compressed = [
-        sum(1 << place[j] for j in range(m.bit_length()) if (m >> j) & 1)
-        for m in monomials
-        if m & ~u == 0
-    ]
-    val = int(_cover_int32(compressed, len(pos))[-1])
-    return CoverValue(val, two_adic_valuation(val))
-
-
 def cover_coefficient(monomials, u):
-    """H(u) for one u, by the direct route.  List size is capped at 24."""
+    """H(u) for one u from the monomial list; the one single-mask route choice.
+
+    When |u| <= `_ARRAY_N_MAX` (20) the monomials inside u are compressed
+    onto its |u| set positions and H(u) is the all-ones entry of their
+    coefficient lattice, at any list size.  A larger u takes the literal
+    subset walk, which refuses lists of more than `CAPACITY` (24) monomials.
+    """
     monos = list(monomials)
-    if len(monos) > CAPACITY:
-        raise CapacityError(
-            f"direct route takes at most {CAPACITY} monomials, got {len(monos)}; "
-            "use the spectrum route"
-        )
     if u.bit_count() <= _ARRAY_N_MAX:
-        return _lattice_cover(monos, u)
-    val = _walk([m for m in monos if m & ~u == 0], u)
+        pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
+        place = {p: i for i, p in enumerate(pos)}
+        compressed = [
+            sum(1 << place[j] for j in range(m.bit_length()) if (m >> j) & 1)
+            for m in monos
+            if m & ~u == 0
+        ]
+        val = int(_cover_int32(compressed, len(pos))[-1])
+    elif len(monos) > CAPACITY:
+        raise CapacityError(
+            f"the subset walk for |u| > {_ARRAY_N_MAX} takes at most {CAPACITY} "
+            f"monomials, got {len(monos)}"
+        )
+    else:
+        val = _walk([m for m in monos if m & ~u == 0], u)
     return CoverValue(val, two_adic_valuation(val))
 
 

@@ -23,20 +23,13 @@ import weakref
 from dataclasses import dataclass
 
 from .boolfn import truth_table_from_anf
-from .covercoef import (
-    _ARRAY_N_MAX,
-    CAPACITY,
-    _lattice_cover,
-    cover_coefficient,
-    cover_coefficient_from_spectrum,
-)
+from .covercoef import _ARRAY_N_MAX, cover_coefficient, cover_coefficient_from_spectrum
 from .errors import CapacityError, InternalInconsistencyError
 from .rotsym import (
     cyclic_run_count,
     format_monomial,
     mask_to_bits,
     orbit_expand,
-    orbit_masks,
     positions,
     rotate,
     sanf_truth_table,
@@ -133,37 +126,32 @@ def _gate(sanf, rule):
 
 
 def _witness_value(sanf, u0):
-    """H(u0) of the expanded SANF by every feasible route, cross-checked."""
+    """H(u0) of the expanded SANF from the monomial list, cross-checked
+    against the spectrum when n <= 20.  `CapacityError` when the monomial
+    route cannot reach u0."""
     anf = orbit_expand(sanf)
-    monos = sorted(anf.monomials)
+    cv = cover_coefficient(sorted(anf.monomials), u0)
     n = sanf.n
-    got = []
-    if u0.bit_count() <= _ARRAY_N_MAX:  # monomial route at any list size and any n
-        got.append(_lattice_cover(monos, u0))
-    elif len(monos) <= CAPACITY:
-        got.append(cover_coefficient(monos, u0))
     if n % 2 == 0 and n <= _ARRAY_N_MAX:
         spec = _SPECTRA.get(sanf)
         if spec is None:
             spec = _SPECTRA[sanf] = walsh_spectrum(truth_table_from_anf(anf))
-        got.append(cover_coefficient_from_spectrum(spec, u0))
-    if not got:
-        raise CapacityError(
-            f"witness verification infeasible: {len(monos)} monomials on n={n}"
-        )
-    if len(got) == 2 and got[0].value != got[1].value:
-        raise InternalInconsistencyError(
-            f"cover routes disagree at u0: {got[0].value} vs {got[1].value}"
-        )
-    return got[0]
+        other = cover_coefficient_from_spectrum(spec, u0)
+        if other.value != cv.value:
+            raise InternalInconsistencyError(
+                f"cover routes disagree at u0: {cv.value} vs {other.value}"
+            )
+    return cv
 
 
 def verify_witness(sanf, report):
     """Recompute the witness valuation and confirm it breaks the criterion.
 
     True iff v2(H(u0)) equals the claimed valuation and that valuation
-    violates the bent condition v2 > |u0| - n/2.  Reports without witness
-    fields, or with an all-ones u0, are rejected as a precondition error.
+    violates the bent condition v2 > |u0| - n/2.  Raises `CapacityError`
+    when no route reaches H(u0) (more than 24 monomials and |u0| > 20).
+    Reports without witness fields, or with an all-ones u0, are rejected as
+    a precondition error.
     """
     if report.witness_u0 is None:
         raise ValueError("report carries no witness")
@@ -213,7 +201,10 @@ def check_shift_chain(sanf):
         return NonexistenceReport(
             n, "shift-chain", INCONCLUSIVE, detail="u1 admits no two-block split"
         )
-    monomials = {m for r in sanf.reps for m in orbit_masks(r, n)}
+    monomials = orbit_expand(sanf).monomials
+    report = NonexistenceReport(
+        n, "shift-chain", INCONCLUSIVE, detail="no chain instantiation fires"
+    )
     # k runs while k*d < n and k*d1 <= n, from the least k with k(d-1) >= n/2
     for k in range((n // 2 + d - 2) // (d - 1), min((n - 1) // d, n // d1) + 1):
         for l in splits:
@@ -235,9 +226,7 @@ def check_shift_chain(sanf):
             )
             if report.verdict == NOT_BENT:
                 return report
-    return NonexistenceReport(
-        n, "shift-chain", INCONCLUSIVE, detail="no chain instantiation fires"
-    )
+    return report
 
 
 def check_leading_block(sanf):

@@ -16,11 +16,13 @@ from rotbent import (
     mask_to_bits,
     orbit_expand,
     parse_sanf,
+    sanf_truth_table,
     verify_witness,
+    walsh_spectrum,
 )
 from rotbent import gf2poly
 from rotbent.cli import build_parser, main
-from rotbent.covercoef import two_adic_valuation
+from rotbent.covercoef import cover_coefficient_from_spectrum, two_adic_valuation
 
 
 def run(argv, capsys):
@@ -131,6 +133,22 @@ def test_hcoeff_single(capsys):
     code, out, _ = run(["hcoeff", "-n", "2", "x1x2", "--u", "00"], capsys)
     assert code == 0
     assert out == "value=1 v2=0\n"
+    # x1x2x3+x1x2x4 expands to 2n > 24 monomials: a mask of weight <= 20 is
+    # read off the monomial lattice at any n, and agrees with the spectrum
+    u = "1" * 18 + "00"  # x1...x18
+    spec = walsh_spectrum(sanf_truth_table(parse_sanf("x1x2x3+x1x2x4", 20)))
+    assert cover_coefficient_from_spectrum(spec, (1 << 18) - 1).value == -832
+    code, out, _ = run(["hcoeff", "-n", "20", "x1x2x3+x1x2x4", "--u", u], capsys)
+    assert (code, out) == (0, "value=-832 v2=6\n")
+    code, out, _ = run(["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", u + "0000"], capsys)
+    assert (code, out) == (0, "value=-832 v2=6\n")
+    # weight 21 takes the subset walk, capped at 24 monomials, and n = 24 is
+    # past the Walsh cap
+    code, out, err = run(
+        ["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", "1" * 21 + "000"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "at most 24 monomials, got 48" in err
 
 
 def test_hcoeff_all_json(capsys):
@@ -221,6 +239,16 @@ def test_nonexist_single_rule(capsys):
     )
     assert code == 0
     assert out.startswith("NOT_BENT rule=gap-bounds(i)")
+    # a chain fires here, but its witness fails the recompute: the report
+    # names that chain rather than saying none fired
+    code, out, _ = run(
+        ["nonexist", "-n", "10", "x1x2x3+x1x3x6", "--rule", "shift-chain"], capsys
+    )
+    assert code == 1
+    assert out == (
+        "INCONCLUSIVE rule=shift-chain "
+        "(witness did not verify (k=3 l=2 d1=3 chain of x1x2x3))\n"
+    )
 
 
 def test_nonexist_json(capsys):

@@ -46,6 +46,19 @@ def cover_naive(monomials, n):
     return acc
 
 
+def cover_folded(monomials, n):
+    # The same literal sum, taken one list entry at a time: each subset T
+    # either leaves m out or adds it, moving (-2)^|T| from OR(T) on to
+    # OR(T) | m times -2.  Cheap for lists of any length, oracle only.
+    acc = [1] + [0] * ((1 << n) - 1)
+    for m in monomials:
+        nxt = acc[:]
+        for v, a in enumerate(acc):
+            nxt[v | m] -= 2 * a
+        acc = nxt
+    return acc
+
+
 def random_monomials(rng, n, maxm=10):
     return sorted(rng.sample(range(1 << n), k=rng.randint(1, min(maxm, 1 << n))))
 
@@ -58,14 +71,26 @@ def test_direct_route_matches_naive(monkeypatch):
         monos = random_monomials(rng, n)
         want = cover_naive(monos, n)
         harr = all_cover_coefficients(monos, n)  # before the cap drops: it refuses n > cap
-        assert list(harr) == want
+        assert list(harr) == want == cover_folded(monos, n)
+        cases.append((monos, want))
+    # lists past the walk's 24-monomial cap, repeats included: the lattice
+    # takes any list size
+    for _ in range(6):
+        n = rng.randint(5, 8)
+        monos = sorted(rng.choices(range(1 << n), k=rng.randint(CAPACITY + 1, 40)))
+        want = cover_folded(monos, n)
+        assert list(all_cover_coefficients(monos, n)) == want
         cases.append((monos, want))
     # the second pass puts every nonzero u past the array cap, onto the pruned
-    # subset walk: the only route for |u| > 20
+    # subset walk: the only route for |u| > 20, which refuses the long lists
     for cap in (covercoef._ARRAY_N_MAX, 0):
         monkeypatch.setattr(covercoef, "_ARRAY_N_MAX", cap)
         for monos, want in cases:
             for u, h in enumerate(want):
+                if u and not cap and len(monos) > CAPACITY:
+                    with pytest.raises(CapacityError):
+                        cover_coefficient(monos, u)
+                    continue
                 cv = cover_coefficient(monos, u)
                 assert cv.value == h
                 assert cv.valuation == two_adic_valuation(h)
@@ -131,9 +156,10 @@ def test_valuation_criterion_rejects_odd_n():
 
 
 def test_capacity_errors():
+    # the monomial cap bounds only the subset walk, which takes |u| > 20
     monos = list(range(1, CAPACITY + 2))
     with pytest.raises(CapacityError):
-        cover_coefficient(monos, (1 << 5) - 1)
+        cover_coefficient(monos, (1 << 21) - 1)
     with pytest.raises(CapacityError):
         all_cover_coefficients([1], 21)
     with pytest.raises(CapacityError):

@@ -293,9 +293,9 @@ def test_witness_checks_share_one_spectrum(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", [16, 18])
 def test_witnesses_past_the_direct_cap_are_checked_by_both_routes(n, monkeypatch):
-    # x1x2x3+x1x2x4 expands to 2n > 24 monomials, past `cover_coefficient`'s
-    # cap: the lattice route still gives the monomial-side value
-    calls = {"lattice": 0, "spectrum": 0, "witness": 0}
+    # x1x2x3+x1x2x4 expands to 2n > 24 monomials, past the subset walk's
+    # cap: `cover_coefficient` still gives the monomial-side value by the lattice
+    calls = {"monomial": 0, "spectrum": 0, "witness": 0}
 
     def counting(name, real):
         def wrapped(*args):
@@ -305,7 +305,7 @@ def test_witnesses_past_the_direct_cap_are_checked_by_both_routes(n, monkeypatch
         return wrapped
 
     for name, attr in [
-        ("lattice", "_lattice_cover"),
+        ("monomial", "cover_coefficient"),
         ("spectrum", "cover_coefficient_from_spectrum"),
         ("witness", "verify_witness"),
     ]:
@@ -315,7 +315,7 @@ def test_witnesses_past_the_direct_cap_are_checked_by_both_routes(n, monkeypatch
     reports = dict(all_checks(sanf))
     assert reports["block-pair"].verdict == NOT_BENT
     assert calls["witness"] >= 1
-    assert calls["lattice"] == calls["spectrum"] == calls["witness"]
+    assert calls["monomial"] == calls["spectrum"] == calls["witness"]
 
 
 def test_every_released_witness_recomputes_past_twenty_variables():

@@ -70,6 +70,30 @@ def test_one_witness_release_path():
     assert sites == [("nonexistence.py", "_try_witness")]
 
 
+def test_one_cover_route_choice():
+    # covercoef.cover_coefficient alone picks between the lattice and the
+    # capped subset walk; no other module imports or reads the walk or its cap
+    # (search._walk is its own function, so only covercoef's names count)
+    private = {"CAPACITY", "_walk"}
+    sites = []
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        if path.name == "covercoef.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+                "covercoef"
+            ):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith(
+                "covercoef"
+            ):
+                names = [node.attr]
+            else:
+                continue
+            sites += [(path.name, m) for m in names if m in private]
+    assert sites == []
+
+
 def test_no_environment_knobs_or_worker_pools():
     # a run is set by its arguments and runs in one process; parallel searches
     # are --shard slices started as separate processes
