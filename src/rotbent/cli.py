@@ -4,7 +4,10 @@ Exit codes: 0 for success (and affirmative predicate verdicts), 1 for a
 negative predicate verdict (not bent, or no rule fires), 2 for usage and
 capacity errors, 3 when internal cross-checks disagree.
 
-`search` runs one task in this process; to use more cores, run its
+`bent-check` runs every feasible route (Walsh for n <= 22, valuation for
+even n <= 20) and cross-checks them.  `nonexist` prints one row per rule it
+runs.  `search` runs one task in this process, refused past the fixed
+candidate budget unless `--long-run`; to use more cores, run its
 `--shard I/T` slices as separate processes and merge their outputs.
 """
 
@@ -37,7 +40,7 @@ from .rotsym import (
     parse_sanf,
     sanf_truth_table,
 )
-from .search import _STATS, DEFAULT_BUDGET, SearchTask, exhaustive_search
+from .search import _STATS, SearchTask, exhaustive_search
 from .walsh import is_bent, walsh_spectrum
 
 _WALSH_N_MAX = 22  # full-table routes above this are not worth materializing
@@ -63,19 +66,12 @@ def cmd_bent_check(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
     verdicts = []
-    if args.method in ("walsh", "auto"):
-        if n <= _WALSH_N_MAX:
-            verdicts.append(("walsh", is_bent(sanf_truth_table(sanf))))
-        elif args.method == "walsh":
-            raise CapacityError(
-                f"walsh route materializes 2^{n} entries; limited to n <= {_WALSH_N_MAX}"
-            )
-    if args.method in ("valuation", "auto"):
-        try:
-            verdicts.append(("valuation", bent_by_valuation(orbit_expand(sanf))))
-        except (ValueError, CapacityError):
-            if args.method == "valuation":
-                raise
+    if n <= _WALSH_N_MAX:
+        verdicts.append(("walsh", is_bent(sanf_truth_table(sanf))))
+    try:
+        verdicts.append(("valuation", bent_by_valuation(orbit_expand(sanf))))
+    except (ValueError, CapacityError):
+        pass
     if not verdicts:
         raise CapacityError(f"no bentness route is feasible at n={n}")
     if len({v for _, v in verdicts}) > 1:
@@ -208,14 +204,9 @@ def cmd_nonexist(args):
                 }
             )
         )
-    elif args.rule != "all":
-        print(reports[0][1].text())
-    elif args.compare or not proved:
+    else:
         for name, rep in reports:
             print(f"{name:14} {rep.text()}")
-    else:
-        first = next(rep for _, rep in reports if rep.verdict == NOT_BENT)
-        print(first.text())
     return 0 if proved else 1
 
 
@@ -229,7 +220,7 @@ def _stats_text(stats):
 def cmd_search(args):
     task = SearchTask(args.nvars, args.degree, _parse_shard(args.shard), args.long_run)
     started = time.perf_counter()
-    result = exhaustive_search(task, args.budget, args.checkpoint)
+    result = exhaustive_search(task, args.checkpoint)
     payload = result.as_dict()
     payload["elapsed_s"] = round(time.perf_counter() - started, 3)
     if args.out:  # write-then-rename: a killed run never leaves a torn file
@@ -274,12 +265,6 @@ def build_parser():
 
     sp = sub.add_parser("bent-check", help="test one SANF for bentness")
     _add_common(sp)
-    sp.add_argument(
-        "--method",
-        choices=("walsh", "valuation", "auto"),
-        default="auto",
-        help="auto runs every feasible route and cross-checks them",
-    )
     sp.set_defaults(func=cmd_bent_check)
 
     sp = sub.add_parser(
@@ -309,21 +294,12 @@ def build_parser():
         default="all",
         help="run a single rule instead of all of them",
     )
-    sp.add_argument(
-        "--compare", action="store_true", help="show every rule's verdict in a table"
-    )
     sp.set_defaults(func=cmd_nonexist)
 
     sp = sub.add_parser("search", help="exhaustive search over a degree layer")
     _add_common(sp, with_sanf=False)
     sp.add_argument("-d", "--degree", type=int, required=True, help="homogeneous degree")
     sp.add_argument("--shard", help="INDEX/TOTAL slice of the candidate space")
-    sp.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="largest candidate count accepted without sharding or --long-run",
-    )
     sp.add_argument(
         "--long-run",
         action="store_true",

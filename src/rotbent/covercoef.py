@@ -23,11 +23,10 @@ literal subset walk capped at 24 monomials.
 `bent_by_valuation` uses the monomial route only, so its verdict is
 independent of the Walsh test.
 
-The monomial route runs on one int32 transform core: the public
-`all_cover_coefficients` widens it to int64, `cover_coefficient` reads its
-all-ones entry on the support of u, and `bent_by_valuation` reads it as is
-and tests divisibility instead of computing valuations, since v2(H) >= k
-iff H & (2^k - 1) == 0.
+The monomial route runs on one int32 transform, `all_cover_coefficients`:
+`cover_coefficient` reads its all-ones entry on the support of u, and
+`bent_by_valuation` tests its entries for divisibility instead of computing
+valuations, since v2(H) >= k iff H & (2^k - 1) == 0.
 """
 
 import functools
@@ -84,7 +83,7 @@ def _superset_sums(lo, hi):
     np.add(lo, hi, out=lo)
 
 
-def _cover_int32(monomials, n):
+def all_cover_coefficients(monomials, n):
     """H(u) for every u as int32: the one transform behind the monomial route.
 
     Uses the exact identity H(u) = sum_{v subset u} (-1)^(|u|-|v|) (-1)^c(v)
@@ -103,11 +102,6 @@ def _cover_int32(monomials, n):
     signs *= -2
     signs += 1
     return _butterfly(signs, _mobius_sub)
-
-
-def all_cover_coefficients(monomials, n):
-    """H(u) for every u at once, straight from the monomial list, as int64."""
-    return _cover_int32(monomials, n).astype(np.int64)
 
 
 def _walk(sub, u):
@@ -143,7 +137,7 @@ def cover_coefficient(monomials, u):
             for m in monos
             if m & ~u == 0
         ]
-        val = int(_cover_int32(compressed, len(pos))[-1])
+        val = int(all_cover_coefficients(compressed, len(pos))[-1])
     elif len(monos) > CAPACITY:
         raise CapacityError(
             f"the subset walk for |u| > {_ARRAY_N_MAX} takes at most {CAPACITY} "
@@ -190,7 +184,7 @@ def all_cover_from_spectrum(spectrum):
 def bent_by_valuation(anf):
     """Bentness via the valuation criterion on the cover coefficients.
 
-    The coefficients come from the monomial list (the int32 core of
+    The coefficients come from the monomial list (the int32
     `all_cover_coefficients`, n <= 20), never from the Walsh spectrum.  The
     criterion v2(H(u)) > |u| - n/2 reads as divisibility by 2^k with
     k = |u| - n/2 + 1, clipped at 0: one int32 mask 2^k - 1 per weight,
@@ -200,7 +194,7 @@ def bent_by_valuation(anf):
     n = anf.n
     if n % 2:
         raise ValueError("the valuation criterion needs an even number of variables")
-    harr = _cover_int32(anf.monomials, n)
+    harr = all_cover_coefficients(anf.monomials, n)
     full = (1 << n) - 1
     if two_adic_valuation(int(harr[full])) != n // 2:
         return False

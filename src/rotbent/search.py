@@ -8,11 +8,11 @@ filter, then a sieve of exact W(c) at a few inputs c, then the full spectral
 test pick the hits; that test runs on the table rebuilt from the SANF, after
 checking that it equals the orbit bits.
 
-Large spaces must be split into shards (contiguous Gray-index ranges that
-partition the space) or explicitly marked long-running; a budget guard
-refuses oversized single calls otherwise.  Checkpoint records are JSON lines:
-a result's `as_dict()` plus the Gray range it covers, a parameter hash and
-the elapsed seconds.
+Spaces over `BUDGET` (2^24) candidates must be split into shards
+(contiguous Gray-index ranges that partition the space) or explicitly
+marked long-running; the guard refuses oversized single calls otherwise.
+Checkpoint records are JSON lines: a result's `as_dict()` plus the Gray
+range it covers, a parameter hash and the elapsed seconds.
 """
 
 import collections
@@ -40,7 +40,7 @@ from .rotsym import (
 )
 from .walsh import is_bent
 
-DEFAULT_BUDGET = 1 << 24
+BUDGET = 1 << 24  # largest candidate count of a call not marked long-running
 _CHUNK = 1 << 20
 _BLOCK_BITS = 12  # a numpy block walks 2^12 Gray indices
 _SIEVE = 8  # input orbits at which W(c) of every W(0) survivor is checked
@@ -105,12 +105,12 @@ def _shard_range(task, r):
     return 1 + (total * i) // t, 1 + (total * (i + 1)) // t
 
 
-def _params_hash(task, budget):
-    text = f"{task.n}|{task.d}|{task.shard}|{budget}"
+def _params_hash(task):
+    text = f"{task.n}|{task.d}|{task.shard}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _append_checkpoint(path, result, budget, started, span):
+def _append_checkpoint(path, result, started, span):
     """Append one JSON-lines record of `result` to the checkpoint file.
 
     `span` is the Gray range [lo, hi) the record covers; `started` is the
@@ -119,7 +119,7 @@ def _append_checkpoint(path, result, budget, started, span):
     record = result.as_dict()
     record.update(
         range=list(span),
-        params_hash=_params_hash(result.task, budget),
+        params_hash=_params_hash(result.task),
         elapsed_s=round(time.perf_counter() - started, 3),
     )
     with open(path, "a", encoding="utf-8") as fh:
@@ -229,26 +229,23 @@ def _walk(orb, reps, lo, hi, stats):
     return hits
 
 
-def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
+def exhaustive_search(task, checkpoint_path=None):
     """Run one search task; returns a SearchResult with SANF-confirmed hits.
 
-    Raises ValueError for a budget below 1, and CapacityError when the
-    candidate count exceeds the budget and the task is not marked
-    long-running; the message names a sufficient shard count.  With a
-    checkpoint path, appends one JSON line per finished chunk.
+    Raises CapacityError when the candidate count exceeds `BUDGET` and the
+    task is not marked long-running; the message names a sufficient shard
+    count.  With a checkpoint path, appends one JSON line per finished chunk.
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be a positive candidate count, got {budget}")
     n = task.n
     reps = enumerate_orbit_reps(n, task.d)
     lo, hi = _shard_range(task, len(reps))
     count = hi - lo
-    if count > budget and not task.long_run:
-        shards = math.ceil(count / budget)
+    if count > BUDGET and not task.long_run:
+        shards = math.ceil(count / BUDGET)
         raise CapacityError(
-            f"{count} candidates exceed the budget of {budget}: "
+            f"{count} candidates exceed the budget of {BUDGET}: "
             f"split into at least {shards} shards or mark the task long-running"
         )
 
@@ -265,9 +262,7 @@ def exhaustive_search(task, budget=DEFAULT_BUDGET, checkpoint_path=None):
         if checkpoint_path is not None:
             so_far = tuple(sanf for _, sanf in sorted(hits))
             result = SearchResult(task, chunk_hi - lo, so_far, dict(stats))
-            _append_checkpoint(
-                checkpoint_path, result, budget, started, (chunk_lo, chunk_hi)
-            )
+            _append_checkpoint(checkpoint_path, result, started, (chunk_lo, chunk_hi))
     bent = tuple(sanf for _, sanf in sorted(hits))
     return SearchResult(task, count, bent, dict(stats))
 

@@ -98,7 +98,7 @@ def test_criterion_3_ten_variable_searches_are_empty(capsys):
     assert res4.stats["weight_survivors"] == 78116
     assert t4 < 600.0
 
-    # Degree 5 stays behind the long-run flag at the default budget.
+    # Degree 5 stays behind the long-run flag at the 2^24 budget.
     with pytest.raises(CapacityError) as exc:
         exhaustive_search(SearchTask(10, 5))
     assert "at least 4" in str(exc.value)

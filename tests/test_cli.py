@@ -20,7 +20,7 @@ from rotbent import (
     verify_witness,
     walsh_spectrum,
 )
-from rotbent import gf2poly
+from rotbent import cli, gf2poly
 from rotbent.cli import build_parser, main
 from rotbent.covercoef import cover_coefficient_from_spectrum, two_adic_valuation
 
@@ -52,17 +52,6 @@ def test_bent_check_odd_n(capsys):
     assert "not bent" in out
 
 
-def test_bent_check_single_method(capsys):
-    code, out, _ = run(["bent-check", "-n", "2", "x1x2", "--method", "walsh"], capsys)
-    assert code == 0
-    assert out.endswith("[walsh]\n")
-    code, out, _ = run(
-        ["bent-check", "-n", "2", "x1x2", "--method", "valuation"], capsys
-    )
-    assert code == 0
-    assert out.endswith("[valuation]\n")
-
-
 def test_bent_check_json(capsys):
     code, out, _ = run(
         ["bent-check", "-n", "6", "x1x2x3+x1x2x4", "--format", "json"], capsys
@@ -75,6 +64,13 @@ def test_bent_check_json(capsys):
         "bent": False,
         "methods": ["walsh", "valuation"],
     }
+
+
+def test_bent_check_disagreement_is_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "bent_by_valuation", lambda anf: False)
+    code, out, err = run(["bent-check", "-n", "2", "x1x2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "inconsistency: methods disagree: walsh=True, valuation=False\n"
 
 
 def test_parse_error_is_usage_error(capsys):
@@ -211,7 +207,9 @@ def test_hcoeff_all_u_matches_a_per_row_reference(n, text, capsys):
 def test_nonexist_proved(capsys):
     code, out, _ = run(["nonexist", "-n", "8", "x1x2x3"], capsys)
     assert code == 0
-    assert out.startswith("NOT_BENT rule=shift-chain")
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[0].startswith("shift-chain    NOT_BENT rule=shift-chain")
 
 
 def test_nonexist_unproved_prints_table(capsys):
@@ -223,7 +221,7 @@ def test_nonexist_unproved_prints_table(capsys):
 
 
 def test_nonexist_compare_table(capsys):
-    code, out, _ = run(["nonexist", "-n", "10", "x1x2x3+x1x2x4", "--compare"], capsys)
+    code, out, _ = run(["nonexist", "-n", "10", "x1x2x3+x1x2x4"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 5
@@ -238,7 +236,8 @@ def test_nonexist_single_rule(capsys):
         ["nonexist", "-n", "8", "x1x2x3", "--rule", "gap-bounds"], capsys
     )
     assert code == 0
-    assert out.startswith("NOT_BENT rule=gap-bounds(i)")
+    assert out.startswith("gap-bounds     NOT_BENT rule=gap-bounds(i)")
+    assert len(out.splitlines()) == 1
     # a chain fires here, but its witness fails the recompute: the report
     # names that chain rather than saying none fired
     code, out, _ = run(
@@ -246,7 +245,7 @@ def test_nonexist_single_rule(capsys):
     )
     assert code == 1
     assert out == (
-        "INCONCLUSIVE rule=shift-chain "
+        "shift-chain    INCONCLUSIVE rule=shift-chain "
         "(witness did not verify (k=3 l=2 d1=3 chain of x1x2x3))\n"
     )
 
@@ -284,9 +283,10 @@ def test_nonexist_marks_witnesses_beyond_numeric_reach(capsys):
     # at n=22 the witness has |u0| = 18: the lattice recomputes it from the
     # 44 monomials, H(u0) = -832 = -2^6 * 13
     code, out, _ = run(["nonexist", "-n", "22", "x1x2x3+x1x2x4"], capsys)
-    assert out == (
-        "NOT_BENT rule=block-pair u0=1111111111111111110000 k=6 v2=6 (k=6 chain of x1x2x3)\n"
-    )
+    assert (
+        "block-pair     NOT_BENT rule=block-pair "
+        "u0=1111111111111111110000 k=6 v2=6 (k=6 chain of x1x2x3)"
+    ) in out.splitlines()
     for n in (22, 24):
         for text in ("x1x2x3", "x1x2x3+x1x2x4", "x1x2x3+x1x3x8"):
             sanf = parse_sanf(text, n)
@@ -367,31 +367,33 @@ def test_search_out_replaces_by_rename(tmp_path, capsys):
 def test_search_out_untouched_by_a_refused_run(tmp_path, capsys):
     path = tmp_path / "result.json"
     path.write_bytes(b"earlier result\n")
-    argv = ["search", "-n", "8", "-d", "2", "--budget", "0", "--out", str(path)]
-    code, _, _ = run(argv, capsys)
+    argv = ["search", "-n", "10", "-d", "5", "--out", str(path)]
+    code, _, err = run(argv, capsys)
     assert code == 2
+    assert "exceed the budget" in err
     assert path.read_bytes() == b"earlier result\n"
     assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
 
 
 def test_search_budget_guidance(capsys):
-    code, _, err = run(["search", "-n", "10", "-d", "4", "--budget", "1000"], capsys)
-    assert code == 2
-    assert "shards" in err
+    # the budget is 2^24 candidates; the guard refuses before any table is built
+    for extra, count, shards in (([], 67108863, 4), (["--shard", "0/3"], 22369621, 2)):
+        code, out, err = run(["search", "-n", "10", "-d", "5", *extra], capsys)
+        assert (code, out) == (2, ""), extra
+        assert (
+            f"{count} candidates exceed the budget of 16777216: "
+            f"split into at least {shards} shards"
+        ) in err, extra
 
 
 def test_search_ignores_the_threads_variable(tmp_path, monkeypatch, capsys):
-    # one run path: the budget guard and the checkpoint records do not depend
-    # on the environment
+    # one run path: the checkpoint records do not depend on the environment
     argv = ["search", "-n", "8", "-d", "3"]
     records = {}
     monkeypatch.delenv("ROTBENT_THREADS", raising=False)
     for threads in ("", "2"):
         if threads:
             monkeypatch.setenv("ROTBENT_THREADS", threads)
-        code, out, err = run(argv + ["--budget", "100"], capsys)
-        assert (code, out) == (2, "")
-        assert "127 candidates exceed the budget of 100: split into at least 2 shards" in err
         path = tmp_path / f"run{threads}.jsonl"
         assert run(argv + ["--checkpoint", str(path)], capsys)[0] == 0
         records[threads] = [json.loads(line) for line in path.read_text().splitlines()]
@@ -404,13 +406,17 @@ def test_search_ignores_the_threads_variable(tmp_path, monkeypatch, capsys):
     ]
 
 
-def test_search_rejects_a_budget_below_one_and_the_old_mode_option(capsys):
-    argv = ["search", "-n", "8", "-d", "3"]
-    for budget in ("0", "-5"):
-        code, out, err = run(argv + ["--budget", budget], capsys)
-        assert (code, out) == (2, "")
-        assert f"budget must be a positive candidate count, got {budget}" in err
-    assert run(argv + ["--mode", "full"], capsys)[0] == 2
+def test_removed_options_are_usage_errors(capsys):
+    removed = [
+        ["search", "-n", "8", "-d", "3", "--mode", "full"],
+        ["search", "-n", "8", "-d", "3", "--budget", "100"],
+        ["bent-check", "-n", "6", "x1x4", "--method", "walsh"],
+        ["nonexist", "-n", "6", "x1x2x3", "--compare"],
+    ]
+    for argv in removed:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in err, argv
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -423,12 +429,11 @@ def test_one_parser_serves_every_call(monkeypatch):
     sequences = [
         ["hcoeff -n 6 x1x2x3 --all-u", "hcoeff -n 6 x1x2x3 --u 111100"],
         [
-            "nonexist -n 6 x1x2x3 --compare",
             "nonexist -n 6 x1x2x3 --rule shift-chain",
             "nonexist -n 6 x1x2x3",
         ],
         ["search -n 6 -d 2 --shard 0/2", "search -n 6 -d 2"],
-        ["bent-check -n 6 x1x4 --method walsh", "bent-check -n 6 x1x4"],
+        ["bent-check -n 6 x1x4 --format json", "bent-check -n 6 x1x4"],
     ]
     stats = re.compile(r"_s=[0-9.]+")  # stage timings vary from run to run
 

@@ -147,21 +147,18 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
 
 
 def test_budget_error_names_the_shard_count():
-    with pytest.raises(CapacityError) as exc:
-        exhaustive_search(SearchTask(10, 4), budget=1000)
-    assert "4195 shards" in str(exc.value)
-    assert "long-running" in str(exc.value)
-
-
-@pytest.mark.parametrize("budget", [0, -5])
-def test_budget_below_one_is_rejected(budget):
-    for long_run in (False, True):
-        with pytest.raises(ValueError, match="positive candidate count"):
-            exhaustive_search(SearchTask(8, 3, long_run=long_run), budget=budget)
+    assert search.BUDGET == 1 << 24
+    for shard, count, shards in ((None, 67108863, 4), ((0, 3), 22369621, 2)):
+        with pytest.raises(CapacityError) as exc:
+            exhaustive_search(SearchTask(10, 5, shard))
+        assert str(exc.value) == (
+            f"{count} candidates exceed the budget of 16777216: split into at "
+            f"least {shards} shards or mark the task long-running"
+        )
 
 
 def test_long_run_overrides_the_budget():
-    res = exhaustive_search(SearchTask(8, 3, long_run=True), budget=10)
+    res = exhaustive_search(SearchTask(8, 3, long_run=True))
     assert res.candidates == 127
 
 

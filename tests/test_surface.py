@@ -1,11 +1,13 @@
 """Public surface: the exports the demos, bench and README use, one transform
 kernel, and one run path set by arguments alone."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import rotbent
+from rotbent.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -112,3 +114,25 @@ def test_no_environment_knobs_or_worker_pools():
                 continue
             sites += [(path.name, m) for m in names if m.split(".")[0] in pools or m in env]
     assert sites == []
+
+
+def test_cli_options_are_fixed():
+    # every option of every subcommand; adding or removing one means editing
+    # this table (bent-check always cross-checks its routes, nonexist always
+    # prints one row per rule, and the search budget is a constant)
+    common = ["--format", "--help", "--nvars", "-h", "-n"]
+    want = {
+        "bent-check": common,
+        "classify-deg2": common,
+        "spectrum": common,
+        "hcoeff": common + ["--all-u", "--u"],
+        "nonexist": common + ["--rule"],
+        "search": common + ["--checkpoint", "--degree", "--long-run", "--out", "--shard", "-d"],
+    }
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: sorted(opt for action in sp._actions for opt in action.option_strings)
+        for name, sp in sub.choices.items()
+    }
+    assert got == {name: sorted(opts) for name, opts in want.items()}
