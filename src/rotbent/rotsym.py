@@ -11,8 +11,8 @@ always has a 1 in position 1.
 `canonical_rep` and `positions` are memoised in bounded LRU caches: SANF
 validation, parsing and formatting meet the same few masks over and over.
 Arguments are validated before the cache is consulted, so bad input raises
-on every call.  `enumerate_orbit_reps` canonicalises every mask of a layer
-once and bypasses the memo, which would only fill up with non-canonical masks.
+on every call.  `enumerate_orbit_reps` bypasses the memo: it takes a layer's
+masks with position 1 as one numpy array and keeps each one's largest rotation.
 """
 
 import functools
@@ -31,17 +31,12 @@ def rotate(u, l, n):
     if not 0 <= u < 1 << n:
         raise ValueError(f"mask {u} out of range for n={n}")
     l %= n
-    if l == 0:
-        return u
     return ((u << l) | (u >> (n - l))) & ((1 << n) - 1)
 
 
 def cycle_length(u, n):
     """Smallest l >= 1 with rotate(u, l, n) == u; always a divisor of n."""
-    for l in sorted(d for d in range(1, n + 1) if n % d == 0):
-        if rotate(u, l, n) == u:
-            return l
-    raise AssertionError("unreachable: l = n always fixes u")
+    return next(l for l in range(1, n + 1) if rotate(u, l, n) == u)
 
 
 def _rev(u, n):
@@ -54,12 +49,16 @@ def orbit_masks(u, n):
     return [rotate(u, l, n) for l in range(cycle_length(u, n))]
 
 
-def _canonical(u, n):
-    r, full = _rev(u, n), (1 << n) - 1  # position strings compare as reversed masks
-    return _rev(max(((r << l) | (r >> (n - l))) & full for l in range(n)), n)
+def _rotations(a, n):
+    """Yield mask `a` (an int or an int array) rotated by l = 0, 1, ..., n - 1."""
+    full = (1 << n) - 1
+    for l in range(n):
+        yield ((a << l) | (a >> (n - l))) & full
 
 
-_canonical_rep = functools.lru_cache(maxsize=1 << 14)(_canonical)
+@functools.lru_cache(maxsize=1 << 14)
+def _canonical_rep(u, n):  # position strings compare as reversed masks
+    return _rev(max(_rotations(_rev(u, n), n)), n)
 
 
 def canonical_rep(u, n):
@@ -85,13 +84,12 @@ def enumerate_orbit_reps(n, w):
     _check_n(n)
     if not 0 < w <= n:
         raise ValueError(f"weight must be in [1, {n}], got {w}")
-    reps = set()
-    for pos in combinations(range(n), w):
-        m = 0
-        for p in pos:
-            m |= 1 << p
-        reps.add(_canonical(m, n))  # every mask of the layer once: kept out of the memo
-    return sorted(reps, key=lambda u: positions(u))
+    # every orbit has a member with position 1, the top bit of its reversed mask
+    rest = map(sum, combinations([1 << p for p in range(n - 1)], w - 1))
+    rev = (1 << (n - 1)) | np.fromiter(rest, np.int64)
+    keys = set(functools.reduce(np.maximum, _rotations(rev, n)).tolist())
+    # at a fixed weight, a larger reversed mask is an earlier position tuple
+    return [_rev(k, n) for k in sorted(keys, reverse=True)]
 
 
 @functools.lru_cache(maxsize=1 << 14)

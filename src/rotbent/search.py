@@ -16,6 +16,7 @@ range it covers, a parameter hash and the elapsed seconds.
 """
 
 import collections
+import functools
 import hashlib
 import json
 import math
@@ -24,18 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import _butterfly, _xor_step
 from .covercoef import _ARRAY_N_MAX, bent_by_valuation
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import is_bent_degree2_rots, is_bent_quadratic
 from .nonexistence import NOT_BENT, all_checks
 from .rotsym import (
     Sanf,
+    _rotations,
     enumerate_orbit_reps,
     format_sanf,
     orbit_expand,
-    orbit_masks,
-    rotate,
     sanf_truth_table,
 )
 from .walsh import is_bent
@@ -142,39 +141,43 @@ def _confirm_bent(n, reps, subset, bits):
 
 def _pack(bits):
     """0/1 entries along the last axis -> little-endian uint64 words."""
-    bits = np.pad(bits, [(0, 0)] * (bits.ndim - 1) + [(0, -bits.shape[-1] % 64)])
-    return np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little")).view("<u8")
+    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 64,), bits.dtype)
+    padded[..., : bits.shape[-1]] = bits  # np.pad costs more than the packing here
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
 class _OrbitTables:
     """A layer's single-orbit tables on orbit bits, and its sieve rows.
 
     Row r of `tables` packs representative r's function at each input orbit's
-    least member into uint64 words; column j of `low` (words on axis 0) XORs
-    the first k rows that the Gray code j ^ (j >> 1) picks.  With sieve rows
+    least member x into uint64 words: the parity of the distinct rotations m of
+    r with m & x == m.  Column j of `low` (words on axis 0) XORs the first k
+    rows that the Gray code j ^ (j >> 1) picks.  With sieve rows
     M[c, i] = sum over x in orbit i of (-1)^<c,x>, W(c) = M[c] . (1 - 2 bits).
+    Both are built one rotation at a time on 2-D (rows x orbits) arrays.
     """
 
     def __init__(self, n, reps):
         x = np.arange(1 << n, dtype=np.uint32)  # n <= 30
-        least, rot = x.copy(), x
-        for _ in range(n - 1):
-            rot = ((rot << 1) | (rot >> (n - 1))) & ((1 << n) - 1)
-            np.minimum(least, rot, out=least)
+        least = functools.reduce(np.minimum, _rotations(x, n))
         members = np.flatnonzero(least == x)
         self.n, self.g, self.index = n, len(members), np.searchsorted(members, least)
-        del x, least, rot  # 2^n-entry temporaries, freed before the tables are built
+        del x, least  # 2^n-entry temporaries, freed before the tables are built
         sizes = np.bincount(self.index)
         self.classes = [(s, _pack(sizes == s)[:, None]) for s in set(sizes.tolist())]
         self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
         self.coords = members[np.linspace(1, self.g - 1, _SIEVE).astype(np.int64)]
-        rots = [[[rotate(c, l, n)] for l in range(n)] for c in self.coords.tolist()]
-        odd = [(np.bitwise_count(np.array(r) & members) & 1).sum(axis=0) for r in rots]
-        self.sieve = (n - 2 * np.array(odd, dtype=np.int64)) * sizes // n
-        ind = np.zeros((len(reps), 1 << n), dtype=np.uint8)
-        for r, rep in enumerate(reps):
-            ind[r, orbit_masks(rep, n)] = 1
-        self.tables = _pack(_butterfly(ind, _xor_step)[:, members])
+        odd = np.zeros((_SIEVE, self.g), dtype=np.int64)
+        for c in _rotations(self.coords, n):  # <rot(c), x> = <c, rot^-1(x)>
+            odd += np.bitwise_count(c[:, None] & members) & 1
+        self.sieve = (n - 2 * odd) * sizes // n
+        reps = np.array(reps, dtype=np.int64)
+        count = np.zeros((len(reps), self.g), dtype=np.uint8)
+        mult = np.zeros(len(reps), dtype=np.uint8)
+        for m in _rotations(reps, n):  # each distinct rotation comes up mult times
+            count += (m[:, None] & members) == m[:, None]
+            mult += m == reps
+        self.tables = _pack(count // mult[:, None] & 1)
         self.k = min(len(reps), _BLOCK_BITS)
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
@@ -236,9 +239,10 @@ def exhaustive_search(task, checkpoint_path=None):
     task is not marked long-running; the message names a sufficient shard
     count.  With a checkpoint path, appends one JSON line per finished chunk.
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
-    (one re-tested sieve negative per chunk included) and hits, and times stages.
+    (one re-tested sieve negative per chunk included) and hits, and times stages;
+    `tables_s` covers the whole per-layer setup, representatives included.
     """
-    n = task.n
+    n, started = task.n, time.perf_counter()
     reps = enumerate_orbit_reps(n, task.d)
     lo, hi = _shard_range(task, len(reps))
     count = hi - lo
@@ -249,7 +253,6 @@ def exhaustive_search(task, checkpoint_path=None):
             f"split into at least {shards} shards or mark the task long-running"
         )
 
-    started = time.perf_counter()
     stats = collections.Counter(dict.fromkeys(_STATS, 0))  # update() adds
     orb = _OrbitTables(n, reps)
     stats.update(tables_s=time.perf_counter() - started)

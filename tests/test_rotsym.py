@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,7 @@ from rotbent.rotsym import (
     cyclic_run_count,
     is_rotation_symmetric,
     mask_from_positions,
+    positions,
     rotate,
     sanf_from_masks,
 )
@@ -72,6 +74,17 @@ def test_enumerate_orbit_reps():
                 orbit = set(orbit_masks(r, n))
                 assert not orbit & seen
                 seen |= orbit
+
+
+def test_enumeration_matches_the_scalar_route():
+    # the numpy enumeration against canonical_rep on every mask of the layer,
+    # as an exact list: same representatives in the same order
+    cases = [(n, w) for n in range(1, 15) for w in range(1, n + 1)]
+    cases += [(n, w) for n in range(16, 21) for w in range(1, 5)]
+    for n, w in cases:
+        masks = (sum(1 << p for p in pos) for pos in combinations(range(n), w))
+        want = sorted({canonical_rep(m, n) for m in masks}, key=positions)
+        assert enumerate_orbit_reps(n, w) == want, (n, w)
 
 
 def test_rotate():

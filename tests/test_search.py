@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -144,6 +145,33 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     assert np.array_equal(bits[0][orb.index], tt.bits)
     assert orb.weight(row[:, None])[0] == tt.weight
     assert np.array_equal(values[0], walsh_spectrum(tt).values[orb.coords])
+
+
+@pytest.mark.parametrize("n, d", [(10, 4), (10, 5), (12, 3), (14, 3)])
+def test_single_orbit_tables_match_the_butterfly_route(n, d):
+    # every row against its representative's table expanded from the ANF
+    reps = enumerate_orbit_reps(n, d)
+    orb = search._OrbitTables(n, reps)
+    members = np.unique(orb.index, return_index=True)[1]  # each orbit's least x
+    assert len(orb.tables) == len(reps)
+    for rep, row in zip(reps, orb.tables):
+        bits = np.unpackbits(row.view(np.uint8), count=orb.g, bitorder="little")
+        want = sanf_truth_table(Sanf(n, (rep,))).bits[members]
+        assert np.array_equal(bits, want), format_sanf(Sanf(n, (rep,)))
+
+
+def test_table_build_memory_is_bounded():
+    # one rotation at a time on 2-D arrays traces 4.4 MiB here; a butterfly
+    # over (reps, 2^n) indicators traces 6.5 MiB and a (reps x n x orbits)
+    # broadcast would add 18 MiB
+    reps = enumerate_orbit_reps(16, 3)
+    tracemalloc.start()
+    try:
+        search._OrbitTables(16, reps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_budget_error_names_the_shard_count():
