@@ -1,24 +1,27 @@
 """Structural nonexistence rules for homogeneous rotation-symmetric functions.
 
-Each checker inspects a SANF and either proves the expanded function cannot
-be bent (verdict NOT_BENT) or declines (INCONCLUSIVE).  NOT_BENT verdicts
-from the valuation-based rules come with a witness: a mask u0 built by
-OR-combining rotations of a representative, a chain length k, and the
-claimed 2-adic valuation of the cover coefficient H(u0).  A valid witness
-violates the valuation criterion, so the function cannot be bent.
+`@_rule(name)` registers a rule body in `RULES` as a checker `check_*(sanf)`
+with one contract.  The shared gate runs first: odd n and a degree above
+n/2 are NOT_BENT at once (`odd-n`, `degree-bound`), and anything but
+homogeneous degree >= 3 declines.  The body then returns NOT_BENT only
+through `_try_witness` or a named bound (`gap-bounds(i)`-`(iii)`, the
+block-pair spectral fallback), or else a decline reason, which becomes the
+rule's INCONCLUSIVE report.
 
-The rules never trust their own pattern analysis: `_try_witness` is the one
-place a witness becomes a verdict.  It recomputes H(u0) numerically (every
-feasible cover-coefficient route, which must agree) and releases NOT_BENT
-only when the claimed valuation is exact and the violation is real.  A
-witness that fails the check, or that no route can recompute, declines
-with an INCONCLUSIVE report saying which.
+A witness is a mask u0 built by OR-combining rotations of a representative,
+a chain length k and the claimed 2-adic valuation of the cover coefficient
+H(u0); a valid one violates the valuation criterion.  `_try_witness`, the
+one place a witness becomes a verdict, recomputes H(u0) by every feasible
+cover-coefficient route (which must agree) and releases NOT_BENT only when
+the claimed valuation is exact and the violation real; otherwise it
+declines saying which.
 
 Soundness contract: no checker may return NOT_BENT on a function the Walsh
 test finds bent.  The test suite sweeps this over every homogeneous degree-3
 SANF on 6, 8 and 10 variables.
 """
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -101,9 +104,10 @@ def _block_chain(u1, step, k, n):
     return u0
 
 
-def _gate(sanf, rule):
+def _gate(sanf):
     """Checks shared by the rules: odd n, the n/2 degree bound and
-    homogeneous degree >= 3.  None when all pass."""
+    homogeneous degree >= 3.  None when all pass, else the NOT_BENT report
+    or the decline reason."""
     n = sanf.n
     if n % 2:
         return NonexistenceReport(
@@ -119,19 +123,50 @@ def _gate(sanf, rule):
         )
     d = sanf.homogeneous_degree
     if d is None or d < 3:
-        return NonexistenceReport(
-            n, rule, INCONCLUSIVE, detail="rule needs homogeneous degree >= 3"
-        )
+        return "rule needs homogeneous degree >= 3"
     return None
 
 
-def _witness_value(sanf, u0):
-    """H(u0) of the expanded SANF from the monomial list, cross-checked
-    against the spectrum when n <= 20.  `CapacityError` when the monomial
-    route cannot reach u0."""
+_REGISTERED = []  # (name, checker) pairs in definition order, frozen into RULES
+
+
+def _rule(name):
+    """Register `body(sanf, rule)` as rule `name`: its checker runs `_gate`
+    first and the body only past it, and a decline string from either
+    becomes the rule's INCONCLUSIVE report."""
+
+    def register(body):
+        @functools.wraps(body)
+        def check(sanf):
+            outcome = _gate(sanf) or body(sanf, name)
+            if isinstance(outcome, str):
+                return NonexistenceReport(sanf.n, name, INCONCLUSIVE, detail=outcome)
+            return outcome
+
+        _REGISTERED.append((name, check))
+        return check
+
+    return register
+
+
+def verify_witness(sanf, report):
+    """Recompute the witness valuation and confirm it breaks the criterion.
+
+    True iff v2(H(u0)) equals the claimed valuation and that valuation
+    violates the bent condition v2 > |u0| - n/2.  H(u0) comes from the
+    monomial list, cross-checked against the spectrum when n <= 20.  Raises
+    `CapacityError` when no route reaches H(u0) (more than 24 monomials and
+    |u0| > 20).  Reports without witness fields, or with an all-ones u0,
+    are rejected as a precondition error.
+    """
+    if report.witness_u0 is None:
+        raise ValueError("report carries no witness")
+    n = sanf.n
+    u0 = report.witness_u0
+    if u0 == (1 << n) - 1:
+        raise ValueError("all-ones witnesses are excluded (separate criterion clause)")
     anf = orbit_expand(sanf)
     cv = cover_coefficient(sorted(anf.monomials), u0)
-    n = sanf.n
     if n % 2 == 0 and n <= _ARRAY_N_MAX:
         spec = _SPECTRA.get(sanf)
         if spec is None:
@@ -141,25 +176,6 @@ def _witness_value(sanf, u0):
             raise InternalInconsistencyError(
                 f"cover routes disagree at u0: {cv.value} vs {other.value}"
             )
-    return cv
-
-
-def verify_witness(sanf, report):
-    """Recompute the witness valuation and confirm it breaks the criterion.
-
-    True iff v2(H(u0)) equals the claimed valuation and that valuation
-    violates the bent condition v2 > |u0| - n/2.  Raises `CapacityError`
-    when no route reaches H(u0) (more than 24 monomials and |u0| > 20).
-    Reports without witness fields, or with an all-ones u0, are rejected as
-    a precondition error.
-    """
-    if report.witness_u0 is None:
-        raise ValueError("report carries no witness")
-    n = sanf.n
-    u0 = report.witness_u0
-    if u0 == (1 << n) - 1:
-        raise ValueError("all-ones witnesses are excluded (separate criterion clause)")
-    cv = _witness_value(sanf, u0)
     violated = cv.valuation <= u0.bit_count() - n // 2
     return violated and cv.valuation == report.claimed_valuation
 
@@ -168,8 +184,8 @@ def _try_witness(sanf, rule, u0, k, claimed, detail):
     """The one place a witness becomes a verdict.
 
     The NOT_BENT report when `verify_witness` recomputes H(u0) and the
-    violation holds; otherwise an INCONCLUSIVE report for the same rule
-    whose detail says why, with the rule's own detail in parentheses.
+    violation holds; otherwise the decline reason, with the rule's own
+    detail in parentheses.
     """
     report = NonexistenceReport(sanf.n, rule, NOT_BENT, u0, k, claimed, detail)
     try:
@@ -178,10 +194,11 @@ def _try_witness(sanf, rule, u0, k, claimed, detail):
         why = "witness did not verify"
     except CapacityError:
         why = "witness beyond numeric reach"
-    return NonexistenceReport(sanf.n, rule, INCONCLUSIVE, detail=f"{why} ({detail})")
+    return f"{why} ({detail})"
 
 
-def check_shift_chain(sanf):
+@_rule("shift-chain")
+def check_shift_chain(sanf, rule):
     """Chains of d1-shifted copies of u1 whose cover valuation is too small.
 
     For each chain length k (k*d < n, k*d1 <= n) and each block split of u1,
@@ -190,21 +207,14 @@ def check_shift_chain(sanf):
     the patterns are excluded and k(d-1) >= n/2, the chain u0 has claimed
     valuation k, which breaks the bent criterion.
     """
-    gate = _gate(sanf, "shift-chain")
-    if gate:
-        return gate
     n, d = sanf.n, sanf.homogeneous_degree
     d1 = min(r.bit_length() for r in sanf.reps)  # least largest set position
     u1 = next(r for r in sanf.reps if r.bit_length() == d1)
     splits = _valid_splits(u1, d1)
     if not splits:
-        return NonexistenceReport(
-            n, "shift-chain", INCONCLUSIVE, detail="u1 admits no two-block split"
-        )
+        return "u1 admits no two-block split"
     monomials = orbit_expand(sanf).monomials
-    report = NonexistenceReport(
-        n, "shift-chain", INCONCLUSIVE, detail="no chain instantiation fires"
-    )
+    outcome = "no chain instantiation fires"
     # k runs while k*d < n and k*d1 <= n, from the least k with k(d-1) >= n/2
     for k in range((n // 2 + d - 2) // (d - 1), min((n - 1) // d, n // d1) + 1):
         for l in splits:
@@ -216,42 +226,28 @@ def check_shift_chain(sanf):
             variants.append(b | (a << (d1 - l + n - k * d1)))
             if any(v in monomials for v in variants):
                 continue
-            report = _try_witness(
-                sanf,
-                "shift-chain",
-                _block_chain(u1, d1, k, n),
-                k,
-                k,
-                f"k={k} l={l} d1={d1} chain of {format_monomial(u1)}",
-            )
-            if report.verdict == NOT_BENT:
-                return report
-    return report
+            u0 = _block_chain(u1, d1, k, n)
+            detail = f"k={k} l={l} d1={d1} chain of {format_monomial(u1)}"
+            outcome = _try_witness(sanf, rule, u0, k, k, detail)
+            if not isinstance(outcome, str):
+                return outcome
+    return outcome
 
 
-def check_leading_block(sanf):
+@_rule("leading-block")
+def check_leading_block(sanf, rule):
     """SANF containing x1...xd with every other orbit at least three-block.
 
     The chain witness depends on how d divides n; the n = 2d case uses the
     overlapping two-chain u1 OR rho^(d-1)(u1) covering all but one position.
     """
-    gate = _gate(sanf, "leading-block")
-    if gate:
-        return gate
     n, d = sanf.n, sanf.homogeneous_degree
     block, _ = _block_and_pair(d)
     if block not in sanf.reps:
-        return NonexistenceReport(
-            n, "leading-block", INCONCLUSIVE, detail="no contiguous leading block"
-        )
+        return "no contiguous leading block"
     for r in sanf.reps:
         if r != block and cyclic_run_count(r, n) <= 2:
-            return NonexistenceReport(
-                n,
-                "leading-block",
-                INCONCLUSIVE,
-                detail=f"{format_monomial(r)} is two-block shaped",
-            )
+            return f"{format_monomial(r)} is two-block shaped"
     q, rem = divmod(n, d)
     if rem:
         k, u0 = q, _block_chain(block, d, q, n)
@@ -259,12 +255,12 @@ def check_leading_block(sanf):
         k, u0 = 2, _block_chain(block, d - 1, 2, n)
     else:
         k, u0 = q - 1, _block_chain(block, d, q - 1, n)
-    return _try_witness(
-        sanf, "leading-block", u0, k, k, f"k={k} chain of {format_monomial(block)}"
-    )
+    detail = f"k={k} chain of {format_monomial(block)}"
+    return _try_witness(sanf, rule, u0, k, k, detail)
 
 
-def check_block_pair(sanf):
+@_rule("block-pair")
+def check_block_pair(sanf, rule):
     """The exact pair x1...xd + x1...x(d-1)x(d+1), d >= 3: never bent.
 
     The chain witness fires for most n; for the two small escapes (d=3 with
@@ -272,15 +268,10 @@ def check_block_pair(sanf):
     to a direct spectral check, still returning NOT_BENT but without witness
     fields.
     """
-    gate = _gate(sanf, "block-pair")
-    if gate:
-        return gate
     n, d = sanf.n, sanf.homogeneous_degree
     block, pair = _block_and_pair(d)
     if set(sanf.reps) != {block, pair}:
-        return NonexistenceReport(
-            n, "block-pair", INCONCLUSIVE, detail="SANF is not the block/pair shape"
-        )
+        return "SANF is not the block/pair shape"
     q, rem = divmod(n, d)
     if rem not in (0, 1):
         k, u0 = q, _block_chain(block, d, q, n)
@@ -288,22 +279,19 @@ def check_block_pair(sanf):
         k, u0 = 2, _block_chain(block, d - 2, 2, n)
     else:  # rem == 0 with q >= 3, or rem == 1 (q >= 3: q = 2 would make n odd)
         k, u0 = q - 1, _block_chain(block, d, q - 1, n)
-    report = _try_witness(
-        sanf, "block-pair", u0, k, k, f"k={k} chain of {format_monomial(block)}"
-    )
-    if report.verdict == NOT_BENT or n > _ARRAY_N_MAX:  # no table past the cap
-        return report
+    detail = f"k={k} chain of {format_monomial(block)}"
+    outcome = _try_witness(sanf, rule, u0, k, k, detail)
+    if not isinstance(outcome, str) or n > _ARRAY_N_MAX:  # no table past the cap
+        return outcome
     if not is_bent(sanf_truth_table(sanf)):
         return NonexistenceReport(
             n,
-            "block-pair",
+            rule,
             NOT_BENT,
             detail="direct spectral verification (chain witness does not violate "
             "the valuation bound at these parameters)",
         )
-    return NonexistenceReport(  # unreachable for this shape; stay sound anyway
-        n, "block-pair", INCONCLUSIVE, detail="function tested bent"
-    )
+    return "function tested bent"  # unreachable for this shape; stay sound anyway
 
 
 def _triple_params(sanf):
@@ -318,47 +306,33 @@ def _triple_params(sanf):
     return (n1, n2, n0, span, q, r) if q >= 1 else None
 
 
-def check_sparse_triple(sanf):
+@_rule("sparse-triple")
+def check_sparse_triple(sanf, rule):
     """Single degree-3 orbit x1 x(2+n1) x(3+n1+n2) with a firing decomposition.
 
     Fires when q*(span - n0 - 1) >= r + n1 + 1; the witness chains q copies
     of the filled window u2 (the OR of n0+1 consecutive rotations of u1) and
     claims valuation q*(n0+1).
     """
-    gate = _gate(sanf, "sparse-triple")
-    if gate:
-        return gate
     n = sanf.n
     params = _triple_params(sanf)
     if params is None:
-        return NonexistenceReport(
-            n,
-            "sparse-triple",
-            INCONCLUSIVE,
-            detail="needs a single weight-3 representative with q >= 1",
-        )
+        return "needs a single weight-3 representative with q >= 1"
     n1, n2, n0, span, q, r = params
     shape = f"n1={n1} n2={n2} n0={n0} span={span} q={q} r={r}"
     if q * (span - n0 - 1) < r + n1 + 1:
-        return NonexistenceReport(
-            n,
-            "sparse-triple",
-            INCONCLUSIVE,
-            detail=f"bound not met: q(span-n0-1)={q * (span - n0 - 1)} < "
-            f"r+n1+1={r + n1 + 1} with {shape}",
+        return (
+            f"bound not met: q(span-n0-1)={q * (span - n0 - 1)} < "
+            f"r+n1+1={r + n1 + 1} with {shape}"
         )
     u2 = _block_chain(sanf.reps[0], 1, n0 + 1, n)
-    return _try_witness(
-        sanf,
-        "sparse-triple",
-        _block_chain(u2, span + n0, q, n),
-        q,
-        q * (n0 + 1),
-        f"{shape} window u2={mask_to_bits(u2, n)}",
-    )
+    u0 = _block_chain(u2, span + n0, q, n)
+    detail = f"{shape} window u2={mask_to_bits(u2, n)}"
+    return _try_witness(sanf, rule, u0, q, q * (n0 + 1), detail)
 
 
-def check_gap_bounds(sanf):
+@_rule("gap-bounds")
+def check_gap_bounds(sanf, rule):
     """Earlier nonexistence bounds driven by the largest index gap.
 
     Three conditions, tried in order on a homogeneous SANF of degree d >= 3
@@ -369,9 +343,6 @@ def check_gap_bounds(sanf):
     gap < (n/2-1)/floor(n/d).  No witnesses: these bounds come from a
     different argument than the valuation rules.
     """
-    gate = _gate(sanf, "gap-bounds")
-    if gate:
-        return gate
     n, d = sanf.n, sanf.homogeneous_degree  # the gate leaves n >= 2d >= 6
     floor_nd = n // d
     block, pair = _block_and_pair(d)
@@ -379,7 +350,7 @@ def check_gap_bounds(sanf):
 
     if sanf.reps == (block,):
         return NonexistenceReport(
-            n, "gap-bounds(i)", NOT_BENT, detail="single contiguous block"
+            n, f"{rule}(i)", NOT_BENT, detail="single contiguous block"
         )
     notes.append("(i) shape no")
 
@@ -391,7 +362,7 @@ def check_gap_bounds(sanf):
         )
         if side:
             return NonexistenceReport(
-                n, "gap-bounds(ii)", NOT_BENT, detail=f"block/pair shape, {text}"
+                n, f"{rule}(ii)", NOT_BENT, detail=f"block/pair shape, {text}"
             )
         notes.append(f"(ii) {text}")
     else:
@@ -401,21 +372,15 @@ def check_gap_bounds(sanf):
     if 2 * gap * floor_nd < n - 2:
         return NonexistenceReport(
             n,
-            "gap-bounds(iii)",
+            f"{rule}(iii)",
             NOT_BENT,
             detail=f"max gap {gap} < (n/2-1)/floor(n/d) = {n // 2 - 1}/{floor_nd}",
         )
     notes.append(f"(iii) gap {gap} not below {n // 2 - 1}/{floor_nd}")
-    return NonexistenceReport(n, "gap-bounds", INCONCLUSIVE, detail="; ".join(notes))
+    return "; ".join(notes)
 
 
-RULES = (
-    ("shift-chain", check_shift_chain),
-    ("leading-block", check_leading_block),
-    ("block-pair", check_block_pair),
-    ("sparse-triple", check_sparse_triple),
-    ("gap-bounds", check_gap_bounds),
-)
+RULES = tuple(_REGISTERED)
 
 
 def all_checks(sanf):

@@ -161,8 +161,11 @@ class _OrbitTables:
         x = np.arange(1 << n, dtype=np.uint32)  # n <= 30
         least = functools.reduce(np.minimum, _rotations(x, n))
         members = np.flatnonzero(least == x)
-        self.n, self.g, self.index = n, len(members), np.searchsorted(members, least)
-        del x, least  # 2^n-entry temporaries, freed before the tables are built
+        self.n, self.g = n, len(members)
+        pos = np.empty(1 << n, dtype=np.int32)  # orbit index of each least member
+        pos[members] = np.arange(self.g, dtype=np.int32)
+        self.index = pos[least]  # every input's orbit, for `_confirm_bent`'s full check
+        del x, least, pos  # 2^n-entry temporaries, freed before the tables are built
         sizes = np.bincount(self.index)
         self.classes = [(s, _pack(sizes == s)[:, None]) for s in set(sizes.tolist())]
         self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never

@@ -32,16 +32,27 @@ from rotbent.rotsym import sanf_from_masks
 
 
 def test_odd_n_short_circuits():
-    for checker in (check_shift_chain, check_leading_block, check_gap_bounds):
-        rep = checker(parse_sanf("x1x2x3", 9))
-        assert rep.verdict == NOT_BENT
-        assert rep.rule == "odd-n"
+    for _, checker in nonexistence.RULES:
+        for text in ("x1x2x3", "x1x2", "x1x2+x1x2x3"):
+            rep = checker(parse_sanf(text, 9))
+            assert rep.verdict == NOT_BENT
+            assert rep.rule == "odd-n"
 
 
 def test_degree_bound_short_circuits():
-    rep = check_gap_bounds(parse_sanf("x1x2x3x4x5", 8))
-    assert rep.verdict == NOT_BENT
-    assert rep.rule == "degree-bound"
+    for _, checker in nonexistence.RULES:
+        for text in ("x1x2x3x4x5", "x1x2x3+x1x2x3x4x5"):
+            rep = checker(parse_sanf(text, 8))
+            assert rep.verdict == NOT_BENT
+            assert rep.rule == "degree-bound"
+
+
+def _assert_every_rule_needs_degree_three(sanf):
+    for name, checker in nonexistence.RULES:
+        rep = checker(sanf)
+        assert rep.verdict == INCONCLUSIVE, name
+        assert rep.rule == name
+        assert rep.detail == "rule needs homogeneous degree >= 3"
 
 
 def test_no_rule_rejects_the_two_variable_bent_function():
@@ -76,6 +87,7 @@ def test_shift_chain_small_pair_inconclusive():
 
 def test_shift_chain_needs_degree_three():
     assert check_shift_chain(parse_sanf("x1x2", 8)).verdict == INCONCLUSIVE
+    _assert_every_rule_needs_degree_three(parse_sanf("x1x2", 8))
 
 
 def test_shift_chain_chains_the_rep_of_least_span():
@@ -217,6 +229,8 @@ def test_gap_bounds_small_gap():
 
 def test_gap_bounds_needs_degree_three():
     assert check_gap_bounds(parse_sanf("x1x2", 8)).verdict == INCONCLUSIVE
+    # mixed degree declines the same way, whichever rule is asked
+    _assert_every_rule_needs_degree_three(parse_sanf("x1x2+x1x2x3", 8))
 
 
 def test_max_index_gap():

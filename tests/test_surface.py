@@ -72,6 +72,32 @@ def test_one_witness_release_path():
     assert sites == [("nonexistence.py", "_try_witness")]
 
 
+def test_rules_share_one_skeleton():
+    # nonexistence._rule alone runs the gate and turns a decline reason into
+    # an INCONCLUSIVE report; each rule's name is written once, in its decorator
+    path = ROOT / "src" / "rotbent" / "nonexistence.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    constants = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+    names = [name for name, _ in rotbent.nonexistence.RULES]
+    assert {name: constants.count(name) for name in names} == dict.fromkeys(names, 1)
+    gate_calls, declines = [], []
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = ast.unparse(node.func).split(".")[-1]
+                args = [*node.args, *(kw.value for kw in node.keywords)]
+                if callee == "_gate":
+                    gate_calls.append((path.name, getattr(top, "name", None)))
+                if callee == "NonexistenceReport" and any(
+                    ast.unparse(a).split(".")[-1] == "INCONCLUSIVE" for a in args
+                ):
+                    declines.append((path.name, getattr(top, "name", None)))
+    assert gate_calls == [("nonexistence.py", "_rule")]
+    assert declines == [("nonexistence.py", "_rule")]
+
+
 def test_one_cover_route_choice():
     # covercoef.cover_coefficient alone picks between the lattice and the
     # capped subset walk; no other module imports or reads the walk or its cap
