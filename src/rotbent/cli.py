@@ -49,13 +49,11 @@ _WALSH_N_MAX = 22  # full-table routes above this are not worth materializing
 def _parse_shard(text):
     if text is None:
         return None
-    parts = text.split("/")
-    if len(parts) != 2:
-        raise ValueError("shard must look like INDEX/TOTAL, e.g. 0/4")
     try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
+        index, total = map(int, text.split("/"))
+    except ValueError:  # not two parts, or a part that is not an int
         raise ValueError("shard must look like INDEX/TOTAL, e.g. 0/4") from None
+    return index, total
 
 
 def _v2_text(v):

@@ -15,12 +15,11 @@ cross-checked in the tests:
     quadratic part (valid for any quadratic function, not just symmetric).
 
 `classify_degree2` evaluates the gcd route for every subset at once by
-residues: with n = 2^k m and m odd, x^n + 1 = (x^m + 1)^(2^k), and x^m + 1
-is squarefree, so p is coprime with x^n + 1 exactly when p mod g != 0 for
-every irreducible factor g of x^m + 1.  Each hit is re-tested by the gcd.
+residues: with n = 2^k m and m odd, x^n + 1 = (x^m + 1)^(2^k), so p is
+coprime with x^n + 1 exactly when gcd(p mod (x^m + 1), x^m + 1) = 1.  The
+2^(n/2) subsets share only 2^((m+1)/2) residues, one gcd each.  Each hit
+is re-tested by the gcd with x^n + 1.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -160,56 +159,29 @@ def is_bent_quadratic(anf):
     return rank_gf2(rows) == n
 
 
-@lru_cache(maxsize=32)
-def _factors(n):
-    """Irreducible factors of x^m + 1, n = 2^k m with m odd, lowest first.
-
-    Trial division by every polynomial with a constant term, in increasing
-    order, removing each divisor completely: a divisor found this way has
-    no factor of lower degree left, so it is irreducible.
-    """
-    m = n >> ((n & -n).bit_length() - 1)
-    target = (1 << m) | 1
-    rest, found, g = target, [], 0b11
-    while 2 * gf2_degree(g) <= gf2_degree(rest):
-        q, r = gf2_divmod(rest, g)
-        if r:
-            g += 2
-        else:
-            found.append(g)
-            rest = q
-    if rest != 1:
-        found.append(rest)
-    product = 1
-    for g in found:
-        product = gf2_mul(product, g)
-    if product != target:
-        raise InternalInconsistencyError(f"factors of x^{m} + 1 multiply to {poly_str(product)}")
-    return tuple(found)
-
-
 def classify_degree2(n):
     """All bent homogeneous degree-2 rotation-symmetric functions on n variables.
 
     A subset S of e-values in [2, n/2+1] has the row polynomial p_S, the XOR
-    of its terms, so p_S mod g is the XOR of the terms' residues.  Per
-    irreducible factor g of x^m + 1 the residues of all 2^(n/2) subsets are
-    built by doubling, r[S | bit_i] = r[S] ^ (term_i mod g); the coprime
-    subsets are those with every residue nonzero.  Each becomes a `Sanf`
-    re-tested by `is_bent_degree2_rots`, the gcd with x^n + 1.  Output is
-    ordered by subset size, then lexicographically.
+    of its terms, so p_S mod (x^m + 1), m the odd part of n, is the XOR of
+    the terms' residues.  The residues of all 2^(n/2) subsets are built by
+    doubling, r[S | bit_i] = r[S] ^ (term_i mod (x^m + 1)); the coprime
+    subsets are those whose residue has gcd 1 with x^m + 1, one gcd per
+    distinct residue.  Each becomes a `Sanf` re-tested by
+    `is_bent_degree2_rots`, the gcd with x^n + 1.  Output is ordered by
+    subset size, then lexicographically.
     """
     _check_n(n)
     if n % 2:
         raise ValueError("classification needs even n >= 2")
+    m = n >> ((n & -n).bit_length() - 1)  # odd part of n
+    g = (1 << m) | 1
     evals = range(2, n // 2 + 2)
-    terms = [_e_term(e, n) for e in evals]
-    coprime = np.ones(1 << len(terms), dtype=bool)
-    for g in _factors(n):
-        res = np.zeros(1, dtype=np.min_scalar_type(g))
-        for t in terms:
-            res = np.concatenate((res, res ^ gf2_mod(t, g)))
-        coprime &= res != 0
+    res = np.zeros(1, dtype=np.min_scalar_type(g))
+    for e in evals:
+        res = np.concatenate((res, res ^ gf2_mod(_e_term(e, n), g)))
+    distinct, where = np.unique(res, return_inverse=True)
+    coprime = np.array([gf2_gcd(r, g) == 1 for r in distinct.tolist()])[where]
     combos = sorted(
         (s.bit_count(), tuple(e for i, e in enumerate(evals) if s >> i & 1))
         for s in np.flatnonzero(coprime).tolist()

@@ -16,6 +16,7 @@ masks with position 1 as one numpy array and keeps each one's largest rotation.
 """
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,6 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .boolfn import AnfForm, _check_n, truth_table_from_anf
+from .errors import InternalInconsistencyError
 
 
 def rotate(u, l, n):
@@ -81,13 +83,13 @@ def cyclic_run_count(u, n):
 
 def enumerate_orbit_reps(n, w):
     """Canonical representatives of all weight-w orbits, sorted by position tuple."""
-    _check_n(n)
-    if not 0 < w <= n:
-        raise ValueError(f"weight must be in [1, {n}], got {w}")
+    count = orbit_count(n, w)  # validates n and w
     # every orbit has a member with position 1, the top bit of its reversed mask
     rest = map(sum, combinations([1 << p for p in range(n - 1)], w - 1))
     rev = (1 << (n - 1)) | np.fromiter(rest, np.int64)
     keys = set(functools.reduce(np.maximum, _rotations(rev, n)).tolist())
+    if len(keys) != count:
+        raise InternalInconsistencyError(f"{len(keys)} weight-{w} orbits, Burnside says {count}")
     # at a fixed weight, a larger reversed mask is an earlier position tuple
     return [_rev(k, n) for k in sorted(keys, reverse=True)]
 
@@ -142,14 +144,12 @@ class Sanf:
 
 def sanf_from_masks(masks, n):
     """Build a Sanf from arbitrary monomial masks, canonicalizing each."""
-    reps = []
-    seen = set()
+    reps = {}  # insertion-ordered set
     for m in masks:
         c = canonical_rep(m, n)
-        if c in seen:
+        if c in reps:
             raise ValueError(f"two monomials share the orbit of {format_monomial(c)}")
-        seen.add(c)
-        reps.append(c)
+        reps[c] = None
     return Sanf(n, tuple(reps))
 
 
@@ -221,5 +221,11 @@ def bits_to_mask(text, n):
 
 
 def orbit_count(n, w):
-    """Number of weight-w orbits (binary necklaces), by direct enumeration."""
-    return len(enumerate_orbit_reps(n, w))
+    """Number of weight-w orbits (binary necklaces), by Burnside's lemma:
+    rotation by l fixes C(g, w g / n) weight-w masks, g = gcd(l, n).  No mask
+    is built, so a layer is sized before it is enumerated."""
+    _check_n(n)
+    if not 0 < w <= n:
+        raise ValueError(f"weight must be in [1, {n}], got {w}")
+    cycles = [math.gcd(l, n) for l in range(n)]
+    return sum(math.comb(g, w * g // n) for g in cycles if w * g % n == 0) // n

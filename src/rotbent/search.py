@@ -34,6 +34,7 @@ from .rotsym import (
     _rotations,
     enumerate_orbit_reps,
     format_sanf,
+    orbit_count,
     orbit_expand,
     sanf_truth_table,
 )
@@ -93,6 +94,14 @@ class CrosscheckReport:
 def _subset_sanf(n, reps, subset):
     chosen = tuple(r for i, r in enumerate(reps) if (subset >> i) & 1)
     return Sanf(n, chosen)
+
+
+def _count_text(c):
+    """c in decimal, or as ~2^k past Python's int-to-str digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        return f"~2^{round(math.log2(c))}"
 
 
 def _shard_range(task, r):
@@ -238,23 +247,23 @@ def _walk(orb, reps, lo, hi, stats):
 def exhaustive_search(task, checkpoint_path=None):
     """Run one search task; returns a SearchResult with SANF-confirmed hits.
 
-    Raises CapacityError when the candidate count exceeds `BUDGET` and the
-    task is not marked long-running; the message names a sufficient shard
-    count.  With a checkpoint path, appends one JSON line per finished chunk.
+    Raises CapacityError before enumerating when the candidate count exceeds
+    `BUDGET` and the task is not long-running; the message names a sufficient
+    shard count.  With a checkpoint path, appends one JSON line per finished chunk.
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages;
     `tables_s` covers the whole per-layer setup, representatives included.
     """
     n, started = task.n, time.perf_counter()
-    reps = enumerate_orbit_reps(n, task.d)
-    lo, hi = _shard_range(task, len(reps))
+    lo, hi = _shard_range(task, orbit_count(n, task.d))
     count = hi - lo
     if count > BUDGET and not task.long_run:
-        shards = math.ceil(count / BUDGET)
+        shards = -(-count // BUDGET)
         raise CapacityError(
-            f"{count} candidates exceed the budget of {BUDGET}: "
-            f"split into at least {shards} shards or mark the task long-running"
+            f"{_count_text(count)} candidates exceed the budget of {BUDGET}: "
+            f"split into at least {_count_text(shards)} shards or mark the task long-running"
         )
+    reps = enumerate_orbit_reps(n, task.d)
 
     stats = collections.Counter(dict.fromkeys(_STATS, 0))  # update() adds
     orb = _OrbitTables(n, reps)
@@ -281,10 +290,10 @@ def search_crosscheck(n, d):
     function raises.  Spaces above 2^14 candidates are refused, this is a
     consistency probe, not a search.
     """
-    reps = enumerate_orbit_reps(n, d)
-    total = (1 << len(reps)) - 1
+    total = (1 << orbit_count(n, d)) - 1
     if total > 1 << 14:
-        raise CapacityError(f"crosscheck limited to 2^14 candidates, got {total}")
+        raise CapacityError(f"crosscheck limited to 2^14 candidates, got {_count_text(total)}")
+    reps = enumerate_orbit_reps(n, d)
     bent_count = val_checked = deg2_checked = fired = 0
     for subset in range(1, total + 1):
         sanf = _subset_sanf(n, reps, subset)

@@ -110,7 +110,7 @@ def test_classify_refuses_n_past_the_cap(capsys):
 
 
 def test_classify_disagreement_is_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(gf2poly, "_factors", lambda n: (0b11, 0b111))  # x^6+x^3+1 dropped
+    monkeypatch.setattr(gf2poly, "is_bent_degree2_rots", lambda sanf: False)
     code, _, err = run(["classify-deg2", "-n", "18"], capsys)
     assert code == 3
     assert err.startswith("inconsistency:")

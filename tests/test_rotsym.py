@@ -8,6 +8,7 @@ import pytest
 
 from rotbent import (
     AnfForm,
+    InternalInconsistencyError,
     Sanf,
     anf_from_truth_table,
     canonical_rep,
@@ -59,6 +60,12 @@ def test_orbit_counts_frozen():
     assert orbit_count(10, 3) == 12
     assert orbit_count(10, 4) == 22
     assert orbit_count(10, 5) == 26
+
+
+def test_enumeration_that_misses_the_burnside_count_is_an_inconsistency(monkeypatch):
+    monkeypatch.setattr(rotsym, "orbit_count", lambda n, w: 23)
+    with pytest.raises(InternalInconsistencyError, match="22 weight-4 orbits, Burnside says 23"):
+        enumerate_orbit_reps(10, 4)
 
 
 def test_enumerate_orbit_reps():

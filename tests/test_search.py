@@ -185,6 +185,45 @@ def test_budget_error_names_the_shard_count():
         )
 
 
+def test_budget_shard_count_is_the_exact_ceiling():
+    # a third of 2^143 - 1 candidates: past 2^53 shards a float quotient
+    # rounds, and its ceiling can fall short of the count
+    with pytest.raises(CapacityError) as exc:
+        exhaustive_search(SearchTask(14, 5, shard=(0, 3)))
+    count, budget, shards = map(int, re.findall(r"\d+", str(exc.value)))
+    assert count == ((1 << 143) - 1) // 3 and budget == search.BUDGET
+    assert (shards - 1) * budget < count <= shards * budget
+
+
+def _refuse_to_enumerate(n, w):
+    raise AssertionError(f"enumerated the weight-{w} layer on n={n}")
+
+
+@pytest.mark.parametrize("n, d", [(20, 6), (22, 11), (30, 15)])
+def test_over_budget_search_is_refused_before_enumerating(monkeypatch, capsys, n, d):
+    # 1,944, 32,066 and 5,170,604 representatives: each count overflows a
+    # float, and the last two have decimals past Python's int-to-str limit
+    monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
+    with pytest.raises(CapacityError, match="exceed the budget of 16777216"):
+        exhaustive_search(SearchTask(n, d))
+    assert main(["search", "-n", str(n), "-d", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed the budget of 16777216: split into" in err
+    assert "limit" not in err
+
+
+def test_unprintable_counts_are_stated_as_powers_of_two():
+    with pytest.raises(CapacityError) as exc:
+        exhaustive_search(SearchTask(22, 11))
+    assert str(exc.value) == (
+        "~2^32066 candidates exceed the budget of 16777216: split into at "
+        "least ~2^32042 shards or mark the task long-running"
+    )
+    with pytest.raises(CapacityError) as exc:
+        search_crosscheck(22, 11)
+    assert str(exc.value) == "crosscheck limited to 2^14 candidates, got ~2^32066"
+
+
 def test_long_run_overrides_the_budget():
     res = exhaustive_search(SearchTask(8, 3, long_run=True))
     assert res.candidates == 127
@@ -246,3 +285,10 @@ def test_crosscheck_degree3():
 def test_crosscheck_capacity_guard():
     with pytest.raises(CapacityError):
         search_crosscheck(12, 4)
+
+
+@pytest.mark.parametrize("n, d", [(22, 11), (30, 15)])
+def test_crosscheck_cap_is_checked_before_enumerating(monkeypatch, n, d):
+    monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
+    with pytest.raises(CapacityError, match="crosscheck limited to 2\\^14 candidates"):
+        search_crosscheck(n, d)
