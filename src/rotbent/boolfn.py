@@ -10,6 +10,7 @@ Truth tables are numpy uint8 arrays of 0/1 values.  All public objects are
 immutable after construction and safe to share across threads.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,28 +77,33 @@ class AnfForm:
 
 # Levels with h <= this run one step call per offset j in the block.  A
 # (blocks, h) view gives numpy inner loops only h long; one strided 1-D view
-# per offset is a single long loop.  Per level at n = 20 (2-core host), one
-# call against the offset loop, in ms: h = 2 u8 XOR 7.3 / 0.5, int32 signed
-# 13.7 / 1.9; h = 8 u8 XOR 1.7 / 0.6, int32 signed 3.8 / 5.0; h = 16 u8 XOR
-# 0.9 / 0.6, int32 signed 2.3 / 9.6.  At n = 16-18 the loop still wins at
-# h = 8 for every step.  Above 8 the h passes over the array cost more than
-# the short inner loops save.
+# per offset is a single long loop.  Transforms of 0/1 inputs read h = 1-8
+# from `_pattern_table`, so only the uint8 zeta count, the int64 superset
+# sums, the XOR levels on packed words, rows under 16 entries and the
+# pattern tables' own build still reach this loop.  Per level (2-core host,
+# best of 21), one call against the offset loop, in ms: uint8 zeta at
+# n = 20, h = 2 3.4 / 0.27, h = 8 0.92 / 0.30, h = 16 0.48 / 0.37; int64
+# superset sums on one 1 MiB block, h = 2 0.47 / 0.05, h = 8 0.16 / 0.12,
+# h = 16 0.11 / 0.15; uint16 XOR words at n = 20, h = 2 0.22 / 0.02, h = 8
+# 0.06 / 0.03, h = 16 0.03 / 0.06.  Above 8 the h passes over the array cost
+# more than the short inner loops save, except for uint8 at h = 16.
 _OFFSET_LOOP_MAX = 8
 
 # Rows larger than this run their low levels block by block (blocks of this
-# size, about half of a 2 MiB L2).  Whole transforms at n = 20 (2-core host),
-# unblocked against 1 MiB blocks, in ms: int32 signed 22 / 13.5-15, int32
-# Moebius 8.2 / 5.4-5.6, int64 superset sums 15-17 / 10-11; n = 18 int64
-# superset sums 2.7 / 2.2-2.4.  256 and 512 KiB blocks were no faster for the
-# signed step and slower for the other two.  uint8 tables at n = 20 fill
-# exactly 1 MiB and stay unblocked: 512 KiB blocks did not speed up XOR or zeta.
+# size, about half of a 2 MiB L2).  Whole transforms at n = 20 (2-core host,
+# best of 9, two runs), unblocked / 1 MiB / 512 KiB blocks, in ms: int32
+# signed from a 0/1 table 13.6-16.4 / 10.1-10.7 / 11.3-12.5, int32 Moebius
+# 6.1-7.1 / 4.5-4.8 / 5.5-6.3, int64 superset sums 18.2 / 11.0-11.8 /
+# 13.3-14.9; n = 18 int64 superset sums 3.8 / 2.4-3.1 / 3.0-3.2.  uint8
+# tables at n = 20 fill exactly 1 MiB and stay unblocked.
 _BLOCK_BYTES = 1 << 20
 
 
-def _butterfly(a, step):
+def _butterfly(a, step, start=1):
     """Run a fast transform in place along the 2^n-long last axis of an array.
 
-    The array is contiguous.  At level h = 1, 2, 4, ... it is seen as blocks of
+    The array is contiguous.  At level h = start, 2 start, ... (start a power
+    of 2; the levels below it are taken as done) it is seen as blocks of
     2h entries, and step(lo, hi) gets the (blocks, h) views of every block's
     halves and must update them in place.  At the low levels (h up to
     `_OFFSET_LOOP_MAX`) it is called once per offset j < h on the strided
@@ -111,10 +117,10 @@ def _butterfly(a, step):
     """
     size = a.shape[-1]
     span = min(size, 1 << (_BLOCK_BYTES // a.itemsize).bit_length() - 1)
-    if span < size:
-        passes = [(block, 1, span) for block in a.reshape(-1, span)] + [(a, span, size)]
+    if start < span < size:
+        passes = [(block, start, span) for block in a.reshape(-1, span)] + [(a, span, size)]
     else:
-        passes = [(a, 1, size)]
+        passes = [(a, start, size)]
     for view, h, stop in passes:
         while h < stop:
             v = view.reshape(-1, 2, h)
@@ -131,9 +137,57 @@ def _xor_step(lo, hi):
     np.bitwise_xor(hi, lo, out=hi)
 
 
+@functools.lru_cache(maxsize=None)  # one per step: three in the package
+def _pattern_table(step):
+    """The four lowest levels of a transform on every 16-entry 0/1 block.
+
+    Row p is the block whose entry j is bit j of p, transformed by
+    `_butterfly`.  For `_xor_step` the row is packed back into one uint16
+    (128 KiB in all); any other step transforms (-1)^bits, whose values lie
+    in [-16, 16], so the table is int8 (1 MiB).  Read-only.
+    """
+    # flat bit order: packing row by row along axis 1 is 50x slower
+    pats = np.arange(1 << 16, dtype="<u2").view(np.uint8)
+    pats = np.unpackbits(pats, bitorder="little").reshape(1 << 16, 16)
+    if step is _xor_step:
+        table = np.packbits(_butterfly(pats, step), bitorder="little").view("<u2")
+    else:  # (-1)^bits in place: no 1 MiB temporaries left to the allocator
+        table = pats.view(np.int8)
+        table *= -2
+        table += 1
+        _butterfly(table, step)
+    table.flags.writeable = False
+    return table
+
+
+def _bit_butterfly(bits, step):
+    """`_butterfly` of a 0/1 uint8 array, returned as a new array.
+
+    `_xor_step` transforms the bits themselves and gives uint8 0/1; any
+    other step transforms (-1)^bits and gives int32.  Each 16-entry block
+    is packed into one uint16 pattern and its first four levels (h = 1, 2,
+    4, 8) are read from `_pattern_table`.  The GF(2) transform then runs its
+    upper levels on the packed words, since XOR on a word is XOR on each of
+    its bits; the others widen to int32 and go on from h = 16.  Rows of
+    fewer than 16 entries take `_butterfly` alone.
+    """
+    if bits.shape[-1] < 16:
+        if step is _xor_step:
+            return _butterfly(bits.copy(), step)
+        return _butterfly(1 - 2 * bits.astype(np.int32), step)
+    words = np.packbits(bits, axis=-1, bitorder="little").view("<u2")
+    low = np.take(_pattern_table(step), words, axis=0)  # 1/6 the time of table[words]
+    if step is _xor_step:
+        low = _butterfly(low, step)
+        return np.unpackbits(low.view(np.uint8), axis=-1, bitorder="little")
+    out = low.reshape(bits.shape).astype(np.int32)
+    del low  # freed before the upper levels run
+    return _butterfly(out, step, 16)
+
+
 def anf_from_truth_table(tt):
     """Moebius transform of the table: monomials with coefficient 1."""
-    coeffs = _butterfly(tt.bits.copy(), _xor_step)
+    coeffs = _bit_butterfly(tt.bits, _xor_step)
     return AnfForm(tt.n, frozenset(int(i) for i in np.flatnonzero(coeffs)))
 
 
@@ -142,7 +196,7 @@ def truth_table_from_anf(anf):
     ind = np.zeros(1 << anf.n, dtype=np.uint8)
     for m in anf.monomials:
         ind[m] = 1
-    return TruthTable(anf.n, _butterfly(ind, _xor_step))
+    return TruthTable(anf.n, _bit_butterfly(ind, _xor_step))
 
 
 def algebraic_degree(anf):

@@ -41,9 +41,7 @@ from .rotsym import (
     sanf_truth_table,
 )
 from .search import _STATS, SearchTask, exhaustive_search
-from .walsh import is_bent, walsh_spectrum
-
-_WALSH_N_MAX = 22  # full-table routes above this are not worth materializing
+from .walsh import _WALSH_N_MAX, is_bent, walsh_spectrum
 
 
 def _parse_shard(text):

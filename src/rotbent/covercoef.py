@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import _butterfly
+from .boolfn import _bit_butterfly, _butterfly
 from .errors import CapacityError, InternalInconsistencyError
 
 CAPACITY = 24  # cap on the monomial-list size for `cover_coefficient`'s subset walk
@@ -90,18 +90,19 @@ def all_cover_coefficients(monomials, n):
     with c(v) the number of list monomials contained in v, which equals the
     literal subset sum term by term.  No capacity cap: cost is O(n 2^n).
     Only the parity of c(v) is used, so the count runs in uint8 (a wrap keeps
-    the parity); the Moebius step runs in int32, exact since every partial
-    sum is bounded by 2^n <= 2^20 (`_ARRAY_N_MAX`).
+    the parity) and is cut to its 0/1 parity in place.  The Moebius transform
+    of (-1)^parity starts from those bits: its four lowest levels are read as
+    int8 from a table of 16-bit patterns, no sign vector is built, and the
+    levels above run in int32, exact since every partial sum is bounded by
+    2^n <= 2^20 (`_ARRAY_N_MAX`).
     """
     if n > _ARRAY_N_MAX:
         raise CapacityError(f"full coefficient array needs n <= {_ARRAY_N_MAX}")
     cnt = np.zeros(1 << n, dtype=np.uint8)
     np.add.at(cnt, np.fromiter(monomials, dtype=np.intp), 1)
     _butterfly(cnt, _zeta_add)
-    signs = (cnt & 1).astype(np.int32)
-    signs *= -2
-    signs += 1
-    return _butterfly(signs, _mobius_sub)
+    cnt &= 1
+    return _bit_butterfly(cnt, _mobius_sub)
 
 
 def _walk(sub, u):

@@ -11,6 +11,7 @@ checking that it equals the orbit bits.
 Spaces over `BUDGET` (2^24) candidates must be split into shards
 (contiguous Gray-index ranges that partition the space) or explicitly
 marked long-running; the guard refuses oversized single calls otherwise.
+Past n = 22 every search is refused, since its tables hold every input.
 Checkpoint records are JSON lines: a result's `as_dict()` plus the Gray
 range it covers, a parameter hash and the elapsed seconds.
 """
@@ -38,7 +39,7 @@ from .rotsym import (
     orbit_expand,
     sanf_truth_table,
 )
-from .walsh import is_bent
+from .walsh import _WALSH_N_MAX, is_bent
 
 BUDGET = 1 << 24  # largest candidate count of a call not marked long-running
 _CHUNK = 1 << 20
@@ -248,8 +249,9 @@ def exhaustive_search(task, checkpoint_path=None):
     """Run one search task; returns a SearchResult with SANF-confirmed hits.
 
     Raises CapacityError before enumerating when the candidate count exceeds
-    `BUDGET` and the task is not long-running; the message names a sufficient
-    shard count.  With a checkpoint path, appends one JSON line per finished chunk.
+    `BUDGET` and the task is not long-running (the message names a sufficient
+    shard count), or when n exceeds the full-table cap `_WALSH_N_MAX`.  With
+    a checkpoint path, appends one JSON line per finished chunk.
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages;
     `tables_s` covers the whole per-layer setup, representatives included.
@@ -263,6 +265,8 @@ def exhaustive_search(task, checkpoint_path=None):
             f"{_count_text(count)} candidates exceed the budget of {BUDGET}: "
             f"split into at least {_count_text(shards)} shards or mark the task long-running"
         )
+    if n > _WALSH_N_MAX:  # `_OrbitTables` holds 2^n-entry arrays
+        raise CapacityError(f"search needs full 2^n tables, limited to n <= {_WALSH_N_MAX}")
     reps = enumerate_orbit_reps(n, task.d)
 
     stats = collections.Counter(dict.fromkeys(_STATS, 0))  # update() adds

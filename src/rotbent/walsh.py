@@ -3,17 +3,21 @@
 The spectrum entry at c is W(c) = sum_x (-1)^(f(x) + <c,x>) with <c,x> the
 inner product over GF(2).  A function on an even number n of variables is
 bent exactly when |W(c)| = 2^(n/2) for every c.  The spectrum is the
-standard in-place fast transform (the shared butterfly with a signed step);
-no floating point is involved anywhere.  The butterfly runs in int32: every
-partial sum is bounded by 2^n <= 2^30 (`N_MAX`), so it is exact, and the
-spectrum is returned as int64.
+standard fast transform of (-1)^f (the shared butterfly with a signed step),
+run straight from the 0/1 table: no sign vector is built, the four lowest
+levels of each 16-entry block are read as int8 from a table of all 2^16 bit
+patterns, and the levels above run in int32.  No floating point is involved
+anywhere: every partial sum is bounded by 2^n <= 2^30 (`N_MAX`), so int32 is
+exact, and the spectrum is returned as int64.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import _butterfly, _check_n
+from .boolfn import _bit_butterfly, _check_n
+
+_WALSH_N_MAX = 22  # full-table routes (spectra, search orbit tables) stop here
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +55,8 @@ def _signed_step(lo, hi):
 
 
 def walsh_spectrum(tt):
-    """Fast transform of the sign vector (-1)^f, in int32 (|W(c)| <= 2^n)."""
-    signs = 1 - 2 * tt.bits.astype(np.int32)
-    return WalshSpectrum(tt.n, _butterfly(signs, _signed_step))
+    """Fast transform of (-1)^f straight from the 0/1 table, in int32 (|W(c)| <= 2^n)."""
+    return WalshSpectrum(tt.n, _bit_butterfly(tt.bits, _signed_step))
 
 
 def is_bent(tt):

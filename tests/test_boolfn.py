@@ -1,5 +1,6 @@
 """Truth tables, ANF, and the Mobius transform against a literal oracle."""
 
+import functools
 import random
 
 import numpy as np
@@ -14,7 +15,7 @@ from rotbent import (
     boolfn,
     truth_table_from_anf,
 )
-from rotbent.boolfn import TruthTable, _butterfly, _xor_step
+from rotbent.boolfn import TruthTable, _bit_butterfly, _butterfly, _xor_step
 from rotbent.covercoef import _mobius_sub, _superset_sums, _zeta_add
 from rotbent.walsh import _signed_step
 
@@ -184,3 +185,47 @@ def test_blocked_butterfly_matches_a_per_level_reference(monkeypatch, name, span
         # blocked rows start with one block's worth of level h = 1 pairs
         rows = 1 if k == 0 else k
         assert sizes[0] == (span // 2 if 1 << n > span else rows << (n - 1))
+
+
+BIT_STEPS = ("mobius", "signed", "xor")  # the steps that start from a 0/1 vector
+
+
+def bit_inputs(name, n, k):
+    # seeded 0/1 rows and the values the plain kernel starts from: the bits
+    # for xor, (-1)^bits for the integer steps
+    shape = (1 << n,) if k == 0 else (k, 1 << n)
+    bits = np.random.default_rng([n, k]).integers(0, 2, size=shape, dtype=np.uint8)
+    dtype = KERNEL_STEPS[name][1]
+    return bits, (bits.astype(dtype) if name == "xor" else 1 - 2 * bits.astype(dtype))
+
+
+@functools.cache
+def bit_reference(name, n, k):
+    _, start = bit_inputs(name, n, k)
+    pair = KERNEL_STEPS[name][3]
+    rows = [per_level_reference(row, pair) for row in start.reshape(-1, 1 << n).tolist()]
+    return np.array(rows, dtype=np.int64).reshape(start.shape)
+
+
+@pytest.mark.parametrize("name", BIT_STEPS)
+@pytest.mark.parametrize("span", [None, 4, 32])  # None: the package's block size
+@pytest.mark.parametrize("k", [0, 3])
+def test_bit_butterfly_matches_a_per_level_reference(monkeypatch, name, span, k):
+    step, dtype = KERNEL_STEPS[name][:2]
+    if span is not None:
+        monkeypatch.setattr(boolfn, "_BLOCK_BYTES", span * np.dtype(dtype).itemsize)
+    for n in range(1, 13):  # n < 4: no full 16-entry block, the plain kernel alone
+        bits, _ = bit_inputs(name, n, k)
+        kept = bits.copy()
+        got = _bit_butterfly(bits, step)
+        assert got.dtype == (np.uint8 if name == "xor" else np.int32)
+        assert np.array_equal(got, bit_reference(name, n, k))
+        assert np.array_equal(bits, kept)  # the input is left as it was
+
+
+@pytest.mark.parametrize("name", BIT_STEPS)
+def test_bit_butterfly_matches_the_plain_kernel_at_large_n(name):
+    step = KERNEL_STEPS[name][0]
+    for n in (16, 18, 20):
+        bits, start = bit_inputs(name, n, 0)
+        assert np.array_equal(_bit_butterfly(bits, step), _butterfly(start, step))

@@ -212,6 +212,24 @@ def test_over_budget_search_is_refused_before_enumerating(monkeypatch, capsys, n
     assert "limit" not in err
 
 
+def _refuse_to_build(n, reps):
+    raise AssertionError(f"built the 2^{n}-entry orbit tables")
+
+
+@pytest.mark.parametrize("n", [23, 30])
+def test_search_past_the_table_cap_is_refused_before_any_table(monkeypatch, capsys, n):
+    # one candidate, well inside the budget, but the orbit tables would hold
+    # 2^n entries (over 4 GiB of temporaries at n = 30)
+    monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
+    monkeypatch.setattr(search, "_OrbitTables", _refuse_to_build)
+    with pytest.raises(CapacityError, match="limited to n <= 22"):
+        exhaustive_search(SearchTask(n, 1))
+    assert main(["search", "-n", str(n), "-d", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: search needs full 2^n tables, limited to n <= 22\n"
+    )
+
+
 def test_unprintable_counts_are_stated_as_powers_of_two():
     with pytest.raises(CapacityError) as exc:
         exhaustive_search(SearchTask(22, 11))

@@ -3,11 +3,20 @@ kernel, and one run path set by arguments alone."""
 
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import rotbent
+from rotbent.boolfn import _butterfly, _pattern_table, _xor_step
 from rotbent.cli import build_parser
+from rotbent.covercoef import _mobius_sub
+from rotbent.walsh import _signed_step
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,6 +56,41 @@ def test_one_transform_kernel():
                 ):
                     sites.append((path.name, func.name))
     assert sites == [("boolfn.py", "_butterfly")]
+
+
+@pytest.mark.parametrize("step", [_xor_step, _signed_step, _mobius_sub])
+def test_pattern_tables_are_the_kernel_on_every_pattern(step):
+    # row p of a pattern table is `_butterfly` run on the 16 bits of p
+    # (x1 first), packed back into a word for XOR, on (-1)^bits otherwise
+    bits = (np.arange(1 << 16)[:, None] >> np.arange(16)) & 1
+    table = _pattern_table(step)
+    if step is _xor_step:
+        assert table.dtype == np.uint16
+        got = (table[:, None].astype(np.int64) >> np.arange(16)) & 1
+        assert np.array_equal(got, _butterfly(bits.astype(np.uint8), step))
+    else:
+        assert table.dtype == np.int8
+        assert np.array_equal(table, _butterfly((1 - 2 * bits).astype(np.int32), step))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+
+
+def test_import_builds_no_pattern_table():
+    # the tables are built on first use, so importing the package (as the
+    # benchmark's set-up does, repeatedly) pays for none of them
+    code = (
+        "import rotbent\n"
+        "from rotbent.boolfn import _pattern_table\n"
+        "print(_pattern_table.cache_info().currsize)\n"
+        "rotbent.walsh_spectrum(rotbent.boolfn.TruthTable(4, [0] * 16))\n"
+        "print(_pattern_table.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_one_witness_release_path():
