@@ -27,18 +27,22 @@ from .boolfn import AnfForm, _check_n, truth_table_from_anf
 from .errors import InternalInconsistencyError
 
 
-def rotate(u, l, n):
-    """Rotate the monomial mask u by l positions (position p -> p+l mod n)."""
+def _check_mask(u, n):
     _check_n(n)
     if not 0 <= u < 1 << n:
         raise ValueError(f"mask {u} out of range for n={n}")
+
+
+def rotate(u, l, n):
+    """Rotate the monomial mask u by l positions (position p -> p+l mod n)."""
+    _check_mask(u, n)
     l %= n
     return ((u << l) | (u >> (n - l))) & ((1 << n) - 1)
 
 
 def cycle_length(u, n):
     """Smallest l >= 1 with rotate(u, l, n) == u; always a divisor of n."""
-    return next(l for l in range(1, n + 1) if rotate(u, l, n) == u)
+    return len(orbit_masks(u, n))
 
 
 def _rev(u, n):
@@ -48,7 +52,8 @@ def _rev(u, n):
 
 def orbit_masks(u, n):
     """All distinct rotations of u, in rotation order starting from u."""
-    return [rotate(u, l, n) for l in range(cycle_length(u, n))]
+    _check_mask(u, n)
+    return list(dict.fromkeys(_rotations(u, n)))
 
 
 def _rotations(a, n):
@@ -73,8 +78,6 @@ def canonical_rep(u, n):
 
 def cyclic_run_count(u, n):
     """Number of maximal cyclic runs of ones in the mask."""
-    if u == 0:
-        return 0
     if u == (1 << n) - 1:
         return 1
     starts = u & ~rotate(u, 1, n)
@@ -169,10 +172,8 @@ def sanf_truth_table(sanf):
 
 def is_rotation_symmetric(tt):
     """True when the table is invariant under rotating the input variables."""
-    n = tt.n
-    idx = np.arange(1 << n, dtype=np.int64)
-    rot = ((idx << 1) | (idx >> (n - 1))) & ((1 << n) - 1) if n > 1 else idx
-    return bool(np.array_equal(tt.bits, tt.bits[rot]))
+    # rotating by one sends x < 2^(n-1) to 2x and every other x to 2x + 1 - 2^n
+    return bool(np.array_equal(tt.bits, np.concatenate((tt.bits[0::2], tt.bits[1::2]))))
 
 
 _MONO_RE = re.compile(r"^(?:x(\d+))+$")

@@ -6,12 +6,12 @@ blocks.  A rotation-symmetric function is constant on input rotation orbits,
 so a candidate's table is one bit per orbit (orbit bits).  The W(0) weight
 filter, then a sieve of exact W(c) at a few inputs c, then the full spectral
 test pick the hits; that test runs on the table rebuilt from the SANF, after
-checking that it equals the orbit bits.
+checking it against the orbit bits.
 
 Spaces over `BUDGET` (2^24) candidates must be split into shards
 (contiguous Gray-index ranges that partition the space) or explicitly
 marked long-running; the guard refuses oversized single calls otherwise.
-Past n = 22 every search is refused, since its tables hold every input.
+Past n = 22 every search is refused, since it scans every input and rebuilds full tables.
 Checkpoint records are JSON lines: a result's `as_dict()` plus the Gray
 range it covers, a parameter hash and the elapsed seconds.
 """
@@ -35,6 +35,7 @@ from .rotsym import (
     _rotations,
     enumerate_orbit_reps,
     format_sanf,
+    is_rotation_symmetric,
     orbit_count,
     orbit_expand,
     sanf_truth_table,
@@ -135,14 +136,17 @@ def _append_checkpoint(path, result, started, span):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _confirm_bent(n, reps, subset, bits):
-    """The Sanf of a sieve survivor if bent, else None; its table must equal `bits`.
+def _check_table_cap(n, what):
+    if n > _WALSH_N_MAX:
+        raise CapacityError(f"{what} needs full 2^n tables, limited to n <= {_WALSH_N_MAX}")
 
-    Rebuilding the table from the SANF guards the packed-walk bookkeeping.
-    """
-    sanf = _subset_sanf(n, reps, subset)
+
+def _confirm_bent(orb, subset, bits):
+    """The Sanf of a candidate if bent, else None; the table rebuilt from the SANF
+    must be rotation-symmetric and equal orbit `bits` at `orb.members`."""
+    sanf = _subset_sanf(orb.n, orb.reps, subset)
     tt = sanf_truth_table(sanf)
-    if not np.array_equal(tt.bits, bits):
+    if not (np.array_equal(tt.bits[orb.members], bits) and is_rotation_symmetric(tt)):
         raise InternalInconsistencyError(
             f"orbit bits disagree with the table of {format_sanf(sanf)}"
         )
@@ -157,12 +161,12 @@ def _pack(bits):
 
 
 class _OrbitTables:
-    """A layer's single-orbit tables on orbit bits, and its sieve rows.
+    """A layer's orbit-sized tables: single-orbit tables on orbit bits, sieve rows.
 
-    Row r of `tables` packs representative r's function at each input orbit's
-    least member x into uint64 words: the parity of the distinct rotations m of
-    r with m & x == m.  Column j of `low` (words on axis 0) XORs the first k
-    rows that the Gray code j ^ (j >> 1) picks.  With sieve rows
+    `members` lists each input orbit's least input x.  Row r of `tables` packs
+    representative r's function at each x into uint64 words: the parity of the
+    distinct rotations m of r with m & x == m.  Column j of `low` (words on axis 0)
+    XORs the first k rows that the Gray code j ^ (j >> 1) picks.  With sieve rows
     M[c, i] = sum over x in orbit i of (-1)^<c,x>, W(c) = M[c] . (1 - 2 bits).
     Both are built one rotation at a time on 2-D (rows x orbits) arrays.
     """
@@ -170,13 +174,10 @@ class _OrbitTables:
     def __init__(self, n, reps):
         x = np.arange(1 << n, dtype=np.uint32)  # n <= 30
         least = functools.reduce(np.minimum, _rotations(x, n))
-        members = np.flatnonzero(least == x)
-        self.n, self.g = n, len(members)
-        pos = np.empty(1 << n, dtype=np.int32)  # orbit index of each least member
-        pos[members] = np.arange(self.g, dtype=np.int32)
-        self.index = pos[least]  # every input's orbit, for `_confirm_bent`'s full check
-        del x, least, pos  # 2^n-entry temporaries, freed before the tables are built
-        sizes = np.bincount(self.index)
+        members = self.members = np.flatnonzero(least == x)
+        sizes = np.bincount(least)[members]
+        del x, least  # 2^n-entry temporaries, freed before the tables are built
+        self.n, self.g, self.reps = n, len(members), reps
         self.classes = [(s, _pack(sizes == s)[:, None]) for s in set(sizes.tolist())]
         self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
         self.coords = members[np.linspace(1, self.g - 1, _SIEVE).astype(np.int64)]
@@ -211,14 +212,14 @@ class _OrbitTables:
         return bits, self.sieve.sum(axis=1) - 2 * prod
 
 
-def _walk(orb, reps, lo, hi, stats):
+def _walk(orb, lo, hi, stats):
     """Gray walk over subset indices [lo, hi) in numpy blocks; returns (subset, Sanf)s.
 
     The Gray code is linear over XOR, so index j0 + off has j0's table XOR
-    column off of `orb.low`.  The first sieve negative is re-tested from its SANF.
+    column off of `orb.low`.  `_confirm_bent` also re-tests the first sieve negative.
     """
     n, k, clock = orb.n, orb.k, time.perf_counter
-    hits, rejected = [], []
+    hits, left = [], 1  # sieve negatives still to re-test
     for j0 in range(lo >> k << k, hi, 1 << k):
         t0, start, base = clock(), max(lo - j0, 0), j0 ^ (j0 >> 1)
         picked = orb.tables[[i for i in range(base.bit_length()) if base >> i & 1]]
@@ -228,20 +229,17 @@ def _walk(orb, reps, lo, hi, stats):
         bits, values = orb.sieve_spectrum(rows[:, keep])
         passed = np.all(np.abs(values) == orb.bent, axis=1)
         subsets = [base ^ off ^ (off >> 1) for off in (keep + start).tolist()]
-        tested = np.flatnonzero(passed)
-        rejected = rejected or [subsets[i] for i in np.flatnonzero(~passed)[:1]]
+        tested, retest = np.flatnonzero(passed), np.flatnonzero(~passed)[:left]
+        left -= retest.size
         t2 = clock()
-        for i in tested.tolist():
-            sanf = _confirm_bent(n, reps, subsets[i], bits[i][orb.index])
+        for i in np.concatenate((tested, retest)).tolist():
+            sanf = _confirm_bent(orb, subsets[i], bits[i])
+            if sanf and not passed[i]:
+                raise InternalInconsistencyError(f"sieve rejected bent {format_sanf(sanf)}")
             hits += [(subsets[i], sanf)] if sanf else []
         m = tested.size
-        stats.update(weight_survivors=keep.size, sieve_survivors=m, spectral_tests=m)
+        stats.update(weight_survivors=keep.size, sieve_survivors=m, spectral_tests=m + retest.size)
         stats.update(walk_s=t1 - t0, sieve_s=t2 - t1, confirm_s=clock() - t2)
-    for subset in rejected:
-        t0, sanf = clock(), _subset_sanf(n, reps, subset)
-        if is_bent(sanf_truth_table(sanf)):
-            raise InternalInconsistencyError(f"sieve rejected bent {format_sanf(sanf)}")
-        stats.update(spectral_tests=1, sieve_s=clock() - t0)
     return hits
 
 
@@ -265,8 +263,7 @@ def exhaustive_search(task, checkpoint_path=None):
             f"{_count_text(count)} candidates exceed the budget of {BUDGET}: "
             f"split into at least {_count_text(shards)} shards or mark the task long-running"
         )
-    if n > _WALSH_N_MAX:  # `_OrbitTables` holds 2^n-entry arrays
-        raise CapacityError(f"search needs full 2^n tables, limited to n <= {_WALSH_N_MAX}")
+    _check_table_cap(n, "search")
     reps = enumerate_orbit_reps(n, task.d)
 
     stats = collections.Counter(dict.fromkeys(_STATS, 0))  # update() adds
@@ -275,7 +272,7 @@ def exhaustive_search(task, checkpoint_path=None):
     hits = []
     for chunk_lo in range(lo, hi, _CHUNK):
         chunk_hi = min(chunk_lo + _CHUNK, hi)
-        hits.extend(_walk(orb, reps, chunk_lo, chunk_hi, stats))
+        hits.extend(_walk(orb, chunk_lo, chunk_hi, stats))
         stats["candidates"] = chunk_hi - lo
         stats["hits"] = len(hits)
         if checkpoint_path is not None:
@@ -292,11 +289,12 @@ def search_crosscheck(n, d):
     Spectral, valuation (n <= 20), the degree-2 GCD routes, and the
     structural rules must all agree; any NOT_BENT on a spectrally bent
     function raises.  Spaces above 2^14 candidates are refused, this is a
-    consistency probe, not a search.
+    consistency probe, not a search; so is n over the full-table cap.
     """
     total = (1 << orbit_count(n, d)) - 1
     if total > 1 << 14:
         raise CapacityError(f"crosscheck limited to 2^14 candidates, got {_count_text(total)}")
+    _check_table_cap(n, "crosscheck")
     reps = enumerate_orbit_reps(n, d)
     bent_count = val_checked = deg2_checked = fired = 0
     for subset in range(1, total + 1):

@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from rotbent import (
@@ -22,7 +24,9 @@ from rotbent import (
     parse_sanf,
     rotsym,
     sanf_truth_table,
+    truth_table_from_anf,
 )
+from rotbent.boolfn import TruthTable
 from rotbent.rotsym import (
     _rev,
     bits_to_mask,
@@ -173,6 +177,19 @@ def test_cycle_length():
     assert cycle_length(0b0101, 4) == 2
     assert cycle_length(0b001001, 6) == 3
     assert cycle_length(1, 5) == 5
+    # every mask at n <= 10 against rotate: the orbit runs up to the first return
+    for n in range(1, 11):
+        for u in range(1 << n):
+            length = next(l for l in range(1, n + 1) if rotate(u, l, n) == u)
+            assert cycle_length(u, n) == length, (u, n)
+            assert orbit_masks(u, n) == [rotate(u, l, n) for l in range(length)], (u, n)
+    # and both refuse what rotate refuses, with the same messages
+    cases = [(-1, 5, "mask -1 out of range for n=5"), (1 << 5, 5, "mask 32 out of range for n=5")]
+    cases += [(3, bad, f"n must be an int in [1, 30], got {bad!r}") for bad in (0, 31, "6", 6.0)]
+    for u, n, message in cases:
+        for fn in (lambda u, n: rotate(u, 1, n), orbit_masks, cycle_length):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                fn(u, n)
 
 
 def test_cyclic_run_count():
@@ -201,26 +218,46 @@ def test_orbit_expand():
     assert anf == AnfForm(4, frozenset({3, 6, 12, 9}))
 
 
+def _rotation_symmetric_by_rotate(tt):
+    return all(tt.bits[rotate(x, 1, tt.n)] == tt.bits[x] for x in range(1 << tt.n))
+
+
 def test_sanf_truth_table_is_rotation_symmetric():
     rng = random.Random(9)
-    for _ in range(50):
-        n = rng.randint(2, 10)
+    for i in range(60):
+        n = i % 12 + 1 if i < 12 else rng.randint(1, 12)
         w = rng.randint(1, n)
         reps = enumerate_orbit_reps(n, w)
         chosen = rng.sample(reps, k=rng.randint(1, min(3, len(reps))))
         sanf = sanf_from_masks(chosen, n)
         tt = sanf_truth_table(sanf)
-        assert is_rotation_symmetric(tt)
+        assert is_rotation_symmetric(tt) and _rotation_symmetric_by_rotate(tt)
         assert anf_from_truth_table(tt) == orbit_expand(sanf)
+        # one flipped entry breaks the symmetry unless its orbit is a single input
+        x = rng.randrange(1 << n)
+        bits = tt.bits.copy()
+        bits[x] ^= 1
+        flipped = TruthTable(n, bits)
+        assert is_rotation_symmetric(flipped) == (cycle_length(x, n) == 1), (n, x)
+        assert _rotation_symmetric_by_rotate(flipped) == (cycle_length(x, n) == 1)
 
 
 def test_is_rotation_symmetric_negative():
     tt = sanf_truth_table(parse_sanf("x1", 4))
     assert is_rotation_symmetric(tt)
     lone = AnfForm(4, frozenset({1}))  # x1 alone, orbit not completed
-    from rotbent import truth_table_from_anf
-
     assert not is_rotation_symmetric(truth_table_from_anf(lone))
+    # random tables at n = 1..12 against the scalar rotation; past n = 1, the
+    # inputs 1 and 2 share an orbit and get different values
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        for _ in range(5):
+            bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+            if n > 1:
+                bits[2] = 1 - bits[1]
+            tt = TruthTable(n, bits)
+            assert is_rotation_symmetric(tt) == _rotation_symmetric_by_rotate(tt), n
+            assert is_rotation_symmetric(tt) == (n == 1), n
 
 
 def test_parse_sanf():

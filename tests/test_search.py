@@ -20,6 +20,7 @@ from rotbent import (
     exhaustive_search,
     format_sanf,
     orbit_count,
+    orbit_masks,
     sanf_truth_table,
     search,
     search_crosscheck,
@@ -27,6 +28,7 @@ from rotbent import (
 )
 from rotbent.boolfn import TruthTable
 from rotbent.cli import main
+from rotbent.rotsym import is_rotation_symmetric, rotate
 
 # stats counts that partition with the candidate space
 _ADDITIVE = ("candidates", "weight_survivors", "sieve_survivors", "hits")
@@ -124,6 +126,40 @@ def test_orbit_bits_that_disagree_with_the_sanf_table_are_an_inconsistency(monke
     assert main(["search", "-n", "8", "-d", "2"]) == 3
 
 
+def test_a_rebuilt_table_flipped_off_the_orbit_members_is_an_inconsistency(monkeypatch):
+    # x = 2 is not its orbit's least member (1 is): the members agree with the
+    # orbit bits, and only the rotation-symmetry check sees the flip
+    real = search.sanf_truth_table
+
+    def flipped(sanf):
+        bits = real(sanf).bits.copy()
+        bits[2] ^= 1
+        return TruthTable(sanf.n, bits)
+
+    assert min(orbit_masks(2, 8)) == 1
+    monkeypatch.setattr(search, "sanf_truth_table", flipped)
+    with pytest.raises(InternalInconsistencyError, match="orbit bits disagree"):
+        exhaustive_search(SearchTask(8, 2))
+    assert main(["search", "-n", "8", "-d", "2"]) == 3
+
+
+def test_a_sieve_negative_with_corrupted_orbit_bits_is_an_inconsistency(monkeypatch):
+    # n = 12 d = 3 has W(0) survivors and no bent function: a bentness-only
+    # re-test of the first sieve negative would pass, the table check must not
+    real = search._OrbitTables.sieve_spectrum
+
+    def corrupt_and_reject(self, rows):
+        bits, values = real(self, rows)
+        bits = bits.copy()
+        bits[:, 0] ^= 1
+        return bits, np.zeros_like(values)
+
+    monkeypatch.setattr(search._OrbitTables, "sieve_spectrum", corrupt_and_reject)
+    with pytest.raises(InternalInconsistencyError, match="orbit bits disagree"):
+        exhaustive_search(SearchTask(12, 3))
+    assert main(["search", "-n", "12", "-d", "3"]) == 3
+
+
 # every orbit representative, of any weight, for even n <= 12
 _EVEN_REPS = {
     n: [r for w in range(1, n + 1) for r in enumerate_orbit_reps(n, w)]
@@ -142,22 +178,44 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     orb = search._OrbitTables(n, sanf.reps)
     row = np.bitwise_xor.reduce(orb.tables, axis=0)
     bits, values = orb.sieve_spectrum(row[:, None])
-    assert np.array_equal(bits[0][orb.index], tt.bits)
+    assert np.array_equal(bits[0], tt.bits[orb.members]) and is_rotation_symmetric(tt)
     assert orb.weight(row[:, None])[0] == tt.weight
     assert np.array_equal(values[0], walsh_spectrum(tt).values[orb.coords])
 
 
+def _unpack(row, g):
+    return np.unpackbits(row.view(np.uint8), count=g, bitorder="little")
+
+
 @pytest.mark.parametrize("n, d", [(10, 4), (10, 5), (12, 3), (14, 3)])
 def test_single_orbit_tables_match_the_butterfly_route(n, d):
-    # every row against its representative's table expanded from the ANF
+    # every row against its representative's table expanded from the ANF, read
+    # at each orbit's least input; a rotation-symmetric table is fixed by those
     reps = enumerate_orbit_reps(n, d)
     orb = search._OrbitTables(n, reps)
-    members = np.unique(orb.index, return_index=True)[1]  # each orbit's least x
     assert len(orb.tables) == len(reps)
     for rep, row in zip(reps, orb.tables):
-        bits = np.unpackbits(row.view(np.uint8), count=orb.g, bitorder="little")
-        want = sanf_truth_table(Sanf(n, (rep,))).bits[members]
-        assert np.array_equal(bits, want), format_sanf(Sanf(n, (rep,)))
+        sanf = Sanf(n, (rep,))
+        tt = sanf_truth_table(sanf)
+        assert is_rotation_symmetric(tt)
+        assert np.array_equal(_unpack(row, orb.g), tt.bits[orb.members]), format_sanf(sanf)
+    if n <= 12:  # members and orbit sizes against brute-force least rotations
+        least = [min(rotate(x, l, n) for l in range(n)) for x in range(1 << n)]
+        sizes = Counter(least)
+        assert orb.members.tolist() == sorted(sizes)
+        got = np.zeros(orb.g, dtype=np.int64)
+        for s, cls in orb.classes:
+            got += s * _unpack(cls[:, 0], orb.g)
+        assert got.tolist() == [sizes[x] for x in sorted(sizes)]
+
+
+def test_orbit_tables_keep_no_input_sized_array():
+    # the build scans all 2^n inputs, but what it keeps is orbit-sized
+    orb = search._OrbitTables(16, enumerate_orbit_reps(16, 3))
+    arrays = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
+    arrays += [cls for _, cls in orb.classes]
+    assert len(arrays) >= 6
+    assert max(max(a.shape) for a in arrays) < 1 << 16
 
 
 def test_table_build_memory_is_bounded():
@@ -310,3 +368,18 @@ def test_crosscheck_cap_is_checked_before_enumerating(monkeypatch, n, d):
     monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
     with pytest.raises(CapacityError, match="crosscheck limited to 2\\^14 candidates"):
         search_crosscheck(n, d)
+
+
+def _refuse_to_tabulate(sanf):
+    raise AssertionError(f"built the 2^{sanf.n}-entry table of {format_sanf(sanf)}")
+
+
+@pytest.mark.parametrize("n", [23, 30])
+def test_crosscheck_past_the_table_cap_is_refused_before_any_table(monkeypatch, n):
+    # one candidate passes the count check, but its truth table and Walsh
+    # transform would hold 2^n entries (several GiB at n = 30)
+    monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
+    monkeypatch.setattr(search, "sanf_truth_table", _refuse_to_tabulate)
+    with pytest.raises(CapacityError) as exc:
+        search_crosscheck(n, 1)
+    assert str(exc.value) == "crosscheck needs full 2^n tables, limited to n <= 22"
