@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
+
 N_MAX = 30  # construction cap; tables beyond this are not materializable anyway
+_TABLE_N_MAX = 22  # full 2^n tables (truth tables, spectra, search orbit tables) stop here
 
 
 def _as_table_bits(n, bits):
@@ -32,6 +35,12 @@ def _as_table_bits(n, bits):
 def _check_n(n):
     if not isinstance(n, int) or not 1 <= n <= N_MAX:
         raise ValueError(f"n must be an int in [1, {N_MAX}], got {n!r}")
+
+
+def _check_table_n(n):
+    """Refuse a full 2^n table past the cap, before allocating it."""
+    if n > _TABLE_N_MAX:
+        raise CapacityError(f"full 2^n tables are limited to n <= {_TABLE_N_MAX}, got n={n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,6 +202,7 @@ def anf_from_truth_table(tt):
 
 def truth_table_from_anf(anf):
     """Evaluate an ANF on all inputs via the same butterfly (involution)."""
+    _check_table_n(anf.n)
     ind = np.zeros(1 << anf.n, dtype=np.uint8)
     for m in anf.monomials:
         ind[m] = 1

@@ -4,11 +4,11 @@ Exit codes: 0 for success (and affirmative predicate verdicts), 1 for a
 negative predicate verdict (not bent, or no rule fires), 2 for usage and
 capacity errors, 3 when internal cross-checks disagree.
 
-`bent-check` runs every feasible route (Walsh for n <= 22, valuation for
-even n <= 20) and cross-checks them.  `nonexist` prints one row per rule it
-runs.  `search` runs one task in this process, refused past the fixed
-candidate budget unless `--long-run`; to use more cores, run its
-`--shard I/T` slices as separate processes and merge their outputs.
+`bent-check` runs and cross-checks every feasible route (`search.bent_verdict`);
+past a library size cap a command prints the refusal and exits 2.  `nonexist`
+prints one row per rule it runs.  `search` runs one task in this process,
+refused past the fixed candidate budget unless `--long-run`; to use more cores,
+run its `--shard I/T` slices as separate processes and merge their outputs.
 """
 
 import argparse
@@ -24,7 +24,6 @@ import numpy as np
 from .covercoef import (
     _popcounts,
     all_cover_coefficients,
-    bent_by_valuation,
     cover_coefficient,
     cover_coefficient_from_spectrum,
     two_adic_valuation,
@@ -40,8 +39,8 @@ from .rotsym import (
     parse_sanf,
     sanf_truth_table,
 )
-from .search import _STATS, SearchTask, exhaustive_search
-from .walsh import _WALSH_N_MAX, is_bent, walsh_spectrum
+from .search import _STATS, SearchTask, bent_verdict, exhaustive_search
+from .walsh import walsh_spectrum
 
 
 def _parse_shard(text):
@@ -61,21 +60,7 @@ def _v2_text(v):
 def cmd_bent_check(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
-    verdicts = []
-    if n <= _WALSH_N_MAX:
-        verdicts.append(("walsh", is_bent(sanf_truth_table(sanf))))
-    try:
-        verdicts.append(("valuation", bent_by_valuation(orbit_expand(sanf))))
-    except (ValueError, CapacityError):
-        pass
-    if not verdicts:
-        raise CapacityError(f"no bentness route is feasible at n={n}")
-    if len({v for _, v in verdicts}) > 1:
-        raise InternalInconsistencyError(
-            "methods disagree: " + ", ".join(f"{m}={v}" for m, v in verdicts)
-        )
-    bent = verdicts[0][1]
-    methods = [m for m, _ in verdicts]
+    bent, methods = bent_verdict(sanf)
     if args.format == "json":
         print(
             json.dumps(
@@ -102,8 +87,6 @@ def cmd_classify_deg2(args):
 
 def cmd_spectrum(args):
     n = args.nvars
-    if n > _WALSH_N_MAX:
-        raise CapacityError(f"spectrum output is limited to n <= {_WALSH_N_MAX}")
     sanf = parse_sanf(args.sanf, n)
     values = walsh_spectrum(sanf_truth_table(sanf)).values.tolist()
     if args.format == "json":
@@ -161,9 +144,7 @@ def cmd_hcoeff(args):
     u = bits_to_mask(args.u, n)
     try:
         cv = cover_coefficient(monos, u)
-    except CapacityError:
-        if n > _WALSH_N_MAX:
-            raise
+    except CapacityError:  # past the subset walk: the spectrum, up to the table cap
         cv = cover_coefficient_from_spectrum(walsh_spectrum(sanf_truth_table(sanf)), u)
     v2 = _v2_text(cv.valuation)
     if args.format == "json":

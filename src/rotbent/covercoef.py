@@ -39,7 +39,7 @@ from .boolfn import _bit_butterfly, _butterfly
 from .errors import CapacityError, InternalInconsistencyError
 
 CAPACITY = 24  # cap on the monomial-list size for `cover_coefficient`'s subset walk
-_ARRAY_N_MAX = 20  # full 2^n arrays (spectra, coefficients, witness checks) stop here
+_ARRAY_N_MAX = 20  # coefficient arrays, the lattice and witness spectrum checks stop here
 
 INFINITE = math.inf
 

@@ -11,12 +11,14 @@ checking it against the orbit bits.
 Spaces over `BUDGET` (2^24) candidates must be split into shards
 (contiguous Gray-index ranges that partition the space) or explicitly
 marked long-running; the guard refuses oversized single calls otherwise.
-Past n = 22 every search is refused, since it scans every input and rebuilds full tables.
+Past the full-table cap (n = 22) every search is refused before enumerating.
 Checkpoint records are JSON lines: a result's `as_dict()` plus the Gray
-range it covers, a parameter hash and the elapsed seconds.
+range it covers (an empty shard writes one too), a parameter hash and the
+elapsed seconds.  `bent_verdict` compares every bentness route on one SANF.
 """
 
 import collections
+import contextlib
 import functools
 import hashlib
 import json
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covercoef import _ARRAY_N_MAX, bent_by_valuation
+from .boolfn import _check_table_n
+from .covercoef import bent_by_valuation
 from .errors import CapacityError, InternalInconsistencyError
 from .gf2poly import is_bent_degree2_rots, is_bent_quadratic
 from .nonexistence import NOT_BENT, all_checks
@@ -40,7 +43,7 @@ from .rotsym import (
     orbit_expand,
     sanf_truth_table,
 )
-from .walsh import _WALSH_N_MAX, is_bent
+from .walsh import is_bent
 
 BUDGET = 1 << 24  # largest candidate count of a call not marked long-running
 _CHUNK = 1 << 20
@@ -134,11 +137,6 @@ def _append_checkpoint(path, result, started, span):
     )
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _check_table_cap(n, what):
-    if n > _WALSH_N_MAX:
-        raise CapacityError(f"{what} needs full 2^n tables, limited to n <= {_WALSH_N_MAX}")
 
 
 def _confirm_bent(orb, subset, bits):
@@ -248,8 +246,8 @@ def exhaustive_search(task, checkpoint_path=None):
 
     Raises CapacityError before enumerating when the candidate count exceeds
     `BUDGET` and the task is not long-running (the message names a sufficient
-    shard count), or when n exceeds the full-table cap `_WALSH_N_MAX`.  With
-    a checkpoint path, appends one JSON line per finished chunk.
+    shard count), or when n exceeds the full-table cap (22).  With a checkpoint
+    path, appends one JSON line per finished chunk (one for an empty shard).
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages;
     `tables_s` covers the whole per-layer setup, representatives included.
@@ -263,14 +261,14 @@ def exhaustive_search(task, checkpoint_path=None):
             f"{_count_text(count)} candidates exceed the budget of {BUDGET}: "
             f"split into at least {_count_text(shards)} shards or mark the task long-running"
         )
-    _check_table_cap(n, "search")
+    _check_table_n(n)
     reps = enumerate_orbit_reps(n, task.d)
 
     stats = collections.Counter(dict.fromkeys(_STATS, 0))  # update() adds
     orb = _OrbitTables(n, reps)
     stats.update(tables_s=time.perf_counter() - started)
     hits = []
-    for chunk_lo in range(lo, hi, _CHUNK):
+    for chunk_lo in range(lo, hi, _CHUNK) or [lo]:  # an empty shard: one record of [lo, lo)
         chunk_hi = min(chunk_lo + _CHUNK, hi)
         hits.extend(_walk(orb, chunk_lo, chunk_hi, stats))
         stats["candidates"] = chunk_hi - lo
@@ -283,41 +281,53 @@ def exhaustive_search(task, checkpoint_path=None):
     return SearchResult(task, count, bent, dict(stats))
 
 
-def search_crosscheck(n, d):
-    """Sweep a small space through every verdict route and compare them all.
+def bent_verdict(sanf):
+    """(bent, methods) of a SANF by every route that takes it: walsh (n <= 22),
+    valuation (even n <= 20), and gcd and rank at any n for homogeneous degree 2.
 
-    Spectral, valuation (n <= 20), the degree-2 GCD routes, and the
-    structural rules must all agree; any NOT_BENT on a spectrally bent
-    function raises.  Spaces above 2^14 candidates are refused, this is a
-    consistency probe, not a search; so is n over the full-table cap.
+    A route that raises ValueError or CapacityError is left out.  Raises
+    CapacityError when none is left, InternalInconsistencyError when they disagree.
+    """
+    anf = orbit_expand(sanf)
+    routes = {"walsh": lambda: is_bent(sanf_truth_table(sanf))}
+    routes["valuation"] = lambda: bent_by_valuation(anf)
+    if sanf.homogeneous_degree == 2:
+        routes.update(gcd=lambda: is_bent_degree2_rots(sanf), rank=lambda: is_bent_quadratic(anf))
+    verdicts = {}
+    for method, route in routes.items():
+        with contextlib.suppress(ValueError, CapacityError):
+            verdicts[method] = route()
+    if not verdicts:
+        raise CapacityError(f"no bentness route is feasible at n={sanf.n}")
+    if len(set(verdicts.values())) > 1:
+        pairs = ", ".join(f"{m}={v}" for m, v in verdicts.items())
+        raise InternalInconsistencyError(f"methods disagree on {format_sanf(sanf)}: {pairs}")
+    return next(iter(verdicts.values())), list(verdicts)
+
+
+def search_crosscheck(n, d):
+    """Sweep a small space through `bent_verdict` and the structural rules.
+
+    The routes must agree, and a rule's NOT_BENT on a bent function raises.
+    Spaces above 2^14 candidates are refused before enumerating: this is a
+    consistency probe, not a search.  Past n = 22 only degree 2 is decided
+    (by gcd and rank); any other layer raises `bent_verdict`'s CapacityError.
     """
     total = (1 << orbit_count(n, d)) - 1
     if total > 1 << 14:
         raise CapacityError(f"crosscheck limited to 2^14 candidates, got {_count_text(total)}")
-    _check_table_cap(n, "crosscheck")
     reps = enumerate_orbit_reps(n, d)
     bent_count = val_checked = deg2_checked = fired = 0
     for subset in range(1, total + 1):
         sanf = _subset_sanf(n, reps, subset)
-        bw = is_bent(sanf_truth_table(sanf))
-        bent_count += bw
-        anf = orbit_expand(sanf)
-        if n % 2 == 0 and n <= _ARRAY_N_MAX:
-            if bent_by_valuation(anf) != bw:
-                raise InternalInconsistencyError(
-                    f"valuation mismatch: {format_sanf(sanf)}"
-                )
-            val_checked += 1
-        if d == 2 and n % 2 == 0:
-            if is_bent_degree2_rots(sanf) != bw or is_bent_quadratic(anf) != bw:
-                raise InternalInconsistencyError(
-                    f"degree-2 route mismatch: {format_sanf(sanf)}"
-                )
-            deg2_checked += 1
+        bent, methods = bent_verdict(sanf)
+        bent_count += bent
+        val_checked += "valuation" in methods
+        deg2_checked += "gcd" in methods
         for _, report in all_checks(sanf):
             if report.verdict == NOT_BENT:
                 fired += 1
-                if bw:
+                if bent:
                     raise InternalInconsistencyError(
                         f"unsound rule {report.rule} on bent {format_sanf(sanf)}"
                     )

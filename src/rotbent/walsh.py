@@ -17,8 +17,6 @@ import numpy as np
 
 from .boolfn import _bit_butterfly, _check_n
 
-_WALSH_N_MAX = 22  # full-table routes (spectra, search orbit tables) stop here
-
 
 @dataclass(frozen=True, eq=False)
 class WalshSpectrum:

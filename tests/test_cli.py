@@ -4,14 +4,18 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import re
 import tracemalloc
 
 import pytest
 
 from rotbent import (
+    Sanf,
     all_checks,
     all_cover_coefficients,
+    classify_degree2,
+    enumerate_orbit_reps,
     format_sanf,
     mask_to_bits,
     orbit_expand,
@@ -20,7 +24,7 @@ from rotbent import (
     verify_witness,
     walsh_spectrum,
 )
-from rotbent import cli, gf2poly
+from rotbent import gf2poly, search
 from rotbent.cli import build_parser, main
 from rotbent.covercoef import cover_coefficient_from_spectrum, two_adic_valuation
 
@@ -34,10 +38,21 @@ def run(argv, capsys):
     return code, out, err
 
 
+def run_traced(argv, capsys):
+    """`run` under tracemalloc: its result and the traced peak bytes."""
+    tracemalloc.start()
+    try:
+        result = run(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (*result, peak)
+
+
 def test_bent_check_affirmative(capsys):
     code, out, _ = run(["bent-check", "-n", "2", "x1x2"], capsys)
     assert code == 0
-    assert out == "x1x2 on n=2: bent [walsh, valuation]\n"
+    assert out == "x1x2 on n=2: bent [walsh, valuation, gcd, rank]\n"
 
 
 def test_bent_check_negative(capsys):
@@ -67,10 +82,13 @@ def test_bent_check_json(capsys):
 
 
 def test_bent_check_disagreement_is_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "bent_by_valuation", lambda anf: False)
+    monkeypatch.setattr(search, "bent_by_valuation", lambda anf: False)
     code, out, err = run(["bent-check", "-n", "2", "x1x2"], capsys)
     assert (code, out) == (3, "")
-    assert err == "inconsistency: methods disagree: walsh=True, valuation=False\n"
+    assert err == (
+        "inconsistency: methods disagree on x1x2: "
+        "walsh=True, valuation=False, gcd=True, rank=True\n"
+    )
 
 
 def test_parse_error_is_usage_error(capsys):
@@ -80,11 +98,41 @@ def test_parse_error_is_usage_error(capsys):
 
 
 def test_capacity_error_is_usage_error(capsys):
-    # No feasible route at n=24: the Walsh cap and the coefficient caps
-    # both refuse, and the command reports that instead of grinding.
-    code, _, err = run(["bent-check", "-n", "24", "x1x2"], capsys)
-    assert code == 2
-    assert "error:" in err
+    # No feasible route for degree 3 at n=24: the table cap and the
+    # coefficient caps both refuse, before allocating, and the command
+    # reports that instead of grinding.
+    code, out, err, peak = run_traced(["bent-check", "-n", "24", "x1x2x3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: no bentness route is feasible at n=24\n"
+    assert peak < 1 << 20
+
+
+def test_spectrum_past_the_table_cap_refuses_before_allocating(capsys):
+    code, out, err, peak = run_traced(["spectrum", "-n", "23", "x1x2x3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: full 2^n tables are limited to n <= 22, got n=23\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [24, 26])
+def test_degree2_bent_check_past_the_table_cap(capsys, n):
+    # gcd and rank answer alone, with no table; the verdict is membership in
+    # the classification
+    bent = set(classify_degree2(n))
+    reps = enumerate_orbit_reps(n, 2)
+    picks = random.Random(n).sample(range(1, 1 << len(reps)), 40)
+    sanfs = sorted(bent, key=format_sanf)[:8] + [
+        Sanf(n, tuple(r for i, r in enumerate(reps) if s >> i & 1)) for s in picks
+    ]
+    seen = set()
+    for sanf in sanfs:
+        argv = ["bent-check", "-n", str(n), format_sanf(sanf), "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        record = json.loads(out)
+        assert record["methods"] == ["gcd", "rank"]
+        assert record["bent"] == (sanf in bent) and code == (0 if sanf in bent else 1)
+        seen.add(record["bent"])
+    assert seen == {True, False}
 
 
 def test_classify_text(capsys):
@@ -138,13 +186,13 @@ def test_hcoeff_single(capsys):
     assert (code, out) == (0, "value=-832 v2=6\n")
     code, out, _ = run(["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", u + "0000"], capsys)
     assert (code, out) == (0, "value=-832 v2=6\n")
-    # weight 21 takes the subset walk, capped at 24 monomials, and n = 24 is
-    # past the Walsh cap
+    # weight 21 takes the subset walk, capped at 24 monomials, and the
+    # spectrum behind it refuses n = 24 at the table cap
     code, out, err = run(
         ["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", "1" * 21 + "000"], capsys
     )
     assert (code, out) == (2, "")
-    assert "at most 24 monomials, got 48" in err
+    assert err == "error: full 2^n tables are limited to n <= 22, got n=24\n"
 
 
 def test_hcoeff_all_json(capsys):
@@ -163,12 +211,7 @@ def test_hcoeff_all_json(capsys):
 def test_hcoeff_all_u_refuses_before_allocating(capsys):
     # the n > 20 guard fires before any 2^n array exists: 2^24 int64 would be
     # hundreds of MiB
-    tracemalloc.start()
-    try:
-        code, _, err = run(["hcoeff", "-n", "24", "x1x2x3", "--all-u"], capsys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, _, err, peak = run_traced(["hcoeff", "-n", "24", "x1x2x3", "--all-u"], capsys)
     assert code == 2
     assert err == "error: full coefficient array needs n <= 20\n"
     assert peak < 1 << 20

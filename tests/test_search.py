@@ -19,6 +19,7 @@ from rotbent import (
     enumerate_orbit_reps,
     exhaustive_search,
     format_sanf,
+    is_bent,
     orbit_count,
     orbit_masks,
     sanf_truth_table,
@@ -29,6 +30,7 @@ from rotbent import (
 from rotbent.boolfn import TruthTable
 from rotbent.cli import main
 from rotbent.rotsym import is_rotation_symmetric, rotate
+from rotbent.search import bent_verdict
 
 # stats counts that partition with the candidate space
 _ADDITIVE = ("candidates", "weight_survivors", "sieve_survivors", "hits")
@@ -270,22 +272,44 @@ def test_over_budget_search_is_refused_before_enumerating(monkeypatch, capsys, n
     assert "limit" not in err
 
 
-def _refuse_to_build(n, reps):
-    raise AssertionError(f"built the 2^{n}-entry orbit tables")
+def _refusal(call):
+    """The CapacityError message of `call` and the traced peak bytes up to it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return str(exc.value), peak
+
+
+def _table_cap(n):
+    return f"full 2^n tables are limited to n <= 22, got n={n}"
 
 
 @pytest.mark.parametrize("n", [23, 30])
-def test_search_past_the_table_cap_is_refused_before_any_table(monkeypatch, capsys, n):
+@pytest.mark.parametrize(
+    "build",
+    [sanf_truth_table, lambda sanf: is_bent(sanf_truth_table(sanf))],
+    ids=["table", "is_bent"],
+)
+def test_tables_past_the_cap_are_refused_before_allocating(build, n):
+    # a 2^30-entry table and its transform would need about 13 GiB
+    msg, peak = _refusal(lambda: build(Sanf(n, (7,))))
+    assert msg == _table_cap(n)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [23, 30])
+def test_search_past_the_table_cap_is_refused_before_any_table(capsys, n):
     # one candidate, well inside the budget, but the orbit tables would hold
     # 2^n entries (over 4 GiB of temporaries at n = 30)
-    monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
-    monkeypatch.setattr(search, "_OrbitTables", _refuse_to_build)
-    with pytest.raises(CapacityError, match="limited to n <= 22"):
-        exhaustive_search(SearchTask(n, 1))
+    msg, peak = _refusal(lambda: exhaustive_search(SearchTask(n, 1)))
+    assert msg == _table_cap(n)
+    assert peak < 1 << 20
     assert main(["search", "-n", str(n), "-d", "1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: search needs full 2^n tables, limited to n <= 22\n"
-    )
+    assert capsys.readouterr().err == f"error: {_table_cap(n)}\n"
 
 
 def test_unprintable_counts_are_stated_as_powers_of_two():
@@ -320,6 +344,21 @@ def test_checkpoint_records(tmp_path):
     assert last["bent"] == []
     assert last["stats"]["candidates"] == 127
     assert set(last["stats"]) == set(search._STATS)
+
+
+def test_an_empty_shard_writes_one_record(tmp_path):
+    # 3 candidates in 5 shards: shard 0 is the empty range [1, 1), and its
+    # record tells "finished, empty" from "never ran"
+    path = tmp_path / "empty.jsonl"
+    res = exhaustive_search(SearchTask(4, 2, shard=(0, 5)), checkpoint_path=str(path))
+    assert (res.candidates, res.bent) == (0, ())
+    (record,) = [json.loads(line) for line in path.read_text().splitlines()]
+    assert record["range"] == [1, 1] and record["shard"] == [0, 5]
+    assert record["candidates_tested"] == record["stats"]["candidates"] == 0
+    cli_path = tmp_path / "cli.jsonl"
+    argv = ["search", "-n", "4", "-d", "2", "--shard", "0/5", "--checkpoint", str(cli_path)]
+    assert main(argv) == 0
+    assert json.loads(cli_path.read_text())["range"] == [1, 1]
 
 
 def test_task_validation():
@@ -370,16 +409,38 @@ def test_crosscheck_cap_is_checked_before_enumerating(monkeypatch, n, d):
         search_crosscheck(n, d)
 
 
-def _refuse_to_tabulate(sanf):
-    raise AssertionError(f"built the 2^{sanf.n}-entry table of {format_sanf(sanf)}")
-
-
 @pytest.mark.parametrize("n", [23, 30])
-def test_crosscheck_past_the_table_cap_is_refused_before_any_table(monkeypatch, n):
-    # one candidate passes the count check, but its truth table and Walsh
-    # transform would hold 2^n entries (several GiB at n = 30)
-    monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
-    monkeypatch.setattr(search, "sanf_truth_table", _refuse_to_tabulate)
-    with pytest.raises(CapacityError) as exc:
-        search_crosscheck(n, 1)
-    assert str(exc.value) == "crosscheck needs full 2^n tables, limited to n <= 22"
+def test_crosscheck_past_the_table_cap_is_refused_before_any_table(n):
+    # one candidate, x1, passes the count check, but no route decides it:
+    # the spectrum needs a 2^n table (several GiB at n = 30), valuation
+    # stops at n = 20, and gcd and rank take degree 2 only
+    msg, peak = _refusal(lambda: search_crosscheck(n, 1))
+    assert msg == f"no bentness route is feasible at n={n}"
+    assert peak < 1 << 20
+
+
+def test_crosscheck_past_the_table_cap_takes_the_degree2_routes():
+    # 4,095 candidates at n = 24, answered by gcd and rank with no table
+    rep = search_crosscheck(24, 2)
+    assert rep.candidates == 4095
+    assert rep.bent_count == len(classify_degree2(24))
+    assert (rep.valuation_checked, rep.degree2_checked) == (0, 4095)
+
+
+def test_degree2_verdicts_take_all_four_routes():
+    for n in range(2, 13, 2):
+        reps = enumerate_orbit_reps(n, 2)
+        for subset in range(1, 1 << len(reps)):
+            sanf = search._subset_sanf(n, reps, subset)
+            bent, methods = bent_verdict(sanf)
+            assert methods == ["walsh", "valuation", "gcd", "rank"], format_sanf(sanf)
+            assert bent == is_bent(sanf_truth_table(sanf)), format_sanf(sanf)
+
+
+def test_a_route_that_disagrees_names_the_sanf(monkeypatch):
+    monkeypatch.setattr(search, "is_bent_quadratic", lambda anf: True)
+    with pytest.raises(InternalInconsistencyError) as exc:
+        search_crosscheck(6, 2)
+    assert str(exc.value) == (
+        "methods disagree on x1x2: walsh=False, valuation=False, gcd=False, rank=True"
+    )

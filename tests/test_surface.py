@@ -166,6 +166,41 @@ def test_one_cover_route_choice():
     assert sites == []
 
 
+def test_one_table_cap():
+    # boolfn alone names the full-table cap; everything else calls its check
+    sites = [
+        path.name
+        for path in sorted((ROOT / "src" / "rotbent").glob("*.py"))
+        if re.search(r"\b_TABLE_N_MAX\b", path.read_text(encoding="utf-8"))
+    ]
+    assert sites == ["boolfn.py"]
+
+
+def test_cli_imports_no_cap_constant():
+    # a command past a cap fails with the library's own refusal
+    tree = ast.parse((ROOT / "src" / "rotbent" / "cli.py").read_text(encoding="utf-8"))
+    names = [
+        a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
+    ]
+    names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert [m for m in names if m.endswith("N_MAX") or m in {"CAPACITY", "BUDGET"}] == []
+
+
+def test_one_route_comparison():
+    # "methods disagree" is raised only by search.bent_verdict, the one place
+    # bentness routes are compared
+    sites = []
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                sites += [
+                    (path.name, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Raise) and "methods disagree" in ast.unparse(node)
+                ]
+    assert sites == [("search.py", "bent_verdict")]
+
+
 def test_no_environment_knobs_or_worker_pools():
     # a run is set by its arguments and runs in one process; parallel searches
     # are --shard slices started as separate processes
