@@ -52,6 +52,7 @@ class TruthTable:
 
     def __post_init__(self):
         _check_n(self.n)
+        _check_table_n(self.n)  # before the caller's bits are read or copied
         object.__setattr__(self, "bits", _as_table_bits(self.n, self.bits))
 
     @property

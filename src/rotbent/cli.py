@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .rotsym import (
     parse_sanf,
     sanf_truth_table,
 )
-from .search import _STATS, SearchTask, bent_verdict, exhaustive_search
+from .search import SearchTask, bent_verdict, exhaustive_search
 from .walsh import walsh_spectrum
 
 
@@ -144,8 +143,11 @@ def cmd_hcoeff(args):
     u = bits_to_mask(args.u, n)
     try:
         cv = cover_coefficient(monos, u)
-    except CapacityError:  # past the subset walk: the spectrum, up to the table cap
-        cv = cover_coefficient_from_spectrum(walsh_spectrum(sanf_truth_table(sanf)), u)
+    except CapacityError as walk:  # past the subset walk: the spectrum, up to the table cap
+        try:
+            cv = cover_coefficient_from_spectrum(walsh_spectrum(sanf_truth_table(sanf)), u)
+        except CapacityError as table:
+            raise CapacityError(f"{walk}; {table}") from None
     v2 = _v2_text(cv.valuation)
     if args.format == "json":
         print(
@@ -188,31 +190,26 @@ def cmd_nonexist(args):
 
 
 def _stats_text(stats):
-    """One line of `SearchResult.stats`: counts, then stage seconds to the ms."""
-    return " ".join(
-        f"{k}={stats[k]:.3f}" if k.endswith("_s") else f"{k}={stats[k]}" for k in _STATS
-    )
+    """One line of a record's `stats`: counts, then stage seconds to the ms."""
+    return " ".join(f"{k}={v:.3f}" if k.endswith("_s") else f"{k}={v}" for k, v in stats.items())
 
 
 def cmd_search(args):
     task = SearchTask(args.nvars, args.degree, _parse_shard(args.shard), args.long_run)
-    started = time.perf_counter()
-    result = exhaustive_search(task, args.checkpoint)
-    payload = result.as_dict()
-    payload["elapsed_s"] = round(time.perf_counter() - started, 3)
+    record = exhaustive_search(task, args.checkpoint).as_dict()
     if args.out:  # write-then-rename: a killed run never leaves a torn file
         tmp = f"{args.out}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, args.out)
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps(record))
     else:
-        for name in payload["bent"]:
+        for name in record["bent"]:
             print(name)
-        print("stats:", _stats_text(result.stats))
-        print(f"{len(result.bent)} bent / {result.candidates} tested")
+        print("stats:", _stats_text(record["stats"]))
+        print(f"{len(record['bent'])} bent / {record['candidates_tested']} tested")
     return 0
 
 

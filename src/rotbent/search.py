@@ -12,9 +12,10 @@ Spaces over `BUDGET` (2^24) candidates must be split into shards
 (contiguous Gray-index ranges that partition the space) or explicitly
 marked long-running; the guard refuses oversized single calls otherwise.
 Past the full-table cap (n = 22) every search is refused before enumerating.
-Checkpoint records are JSON lines: a result's `as_dict()` plus the Gray
-range it covers (an empty shard writes one too), a parameter hash and the
-elapsed seconds.  `bent_verdict` compares every bentness route on one SANF.
+A `SearchResult` is the one run record: the Gray range [lo, hi) covered so
+far, with the counts, hits and elapsed seconds of exactly those candidates.
+Checkpoint lines, `--out` and `--format json` all write its `as_dict()`.
+`bent_verdict` compares every bentness route on one SANF.
 """
 
 import collections
@@ -70,18 +71,27 @@ class SearchTask:
 @dataclass(frozen=True)
 class SearchResult:
     task: SearchTask
-    candidates: int
+    range: tuple  # Gray indices [lo, hi) covered so far
     bent: tuple  # Sanf instances, ordered by subset index
     stats: dict = field(default_factory=dict, compare=False)  # see exhaustive_search
+    elapsed_s: float = field(default=0.0, compare=False)
+
+    @property
+    def candidates(self):
+        return self.range[1] - self.range[0]
 
     def as_dict(self):
+        """The run record; every JSON output of a search is this dict."""
         return {
             "n": self.task.n,
             "d": self.task.d,
             "shard": list(self.task.shard) if self.task.shard else None,
+            "range": list(self.range),
             "candidates_tested": self.candidates,
             "bent": [format_sanf(s) for s in self.bent],
             "stats": dict(self.stats),
+            "params_hash": _params_hash(self.task),
+            "elapsed_s": round(self.elapsed_s, 3),
         }
 
 
@@ -119,24 +129,13 @@ def _shard_range(task, r):
 
 
 def _params_hash(task):
-    text = f"{task.n}|{task.d}|{task.shard}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(f"{task.n}|{task.d}|{task.shard}".encode()).hexdigest()[:16]
 
 
-def _append_checkpoint(path, result, started, span):
-    """Append one JSON-lines record of `result` to the checkpoint file.
-
-    `span` is the Gray range [lo, hi) the record covers; `started` is the
-    perf_counter reading of the run start.
-    """
-    record = result.as_dict()
-    record.update(
-        range=list(span),
-        params_hash=_params_hash(result.task),
-        elapsed_s=round(time.perf_counter() - started, 3),
-    )
+def _append_checkpoint(path, result):
+    """Append `result.as_dict()` to the checkpoint file as one JSON line."""
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(json.dumps(result.as_dict(), sort_keys=True) + "\n")
 
 
 def _confirm_bent(orb, subset, bits):
@@ -246,8 +245,10 @@ def exhaustive_search(task, checkpoint_path=None):
 
     Raises CapacityError before enumerating when the candidate count exceeds
     `BUDGET` and the task is not long-running (the message names a sufficient
-    shard count), or when n exceeds the full-table cap (22).  With a checkpoint
-    path, appends one JSON line per finished chunk (one for an empty shard).
+    shard count), or when n exceeds the full-table cap (22).  After each chunk
+    of `_CHUNK` indices it builds the record of [lo, chunk_hi), the range done so
+    far, and appends it to the checkpoint path if one is given (an empty shard
+    writes one record of [lo, lo)); the last record is the result.
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages;
     `tables_s` covers the whole per-layer setup, representatives included.
@@ -273,12 +274,12 @@ def exhaustive_search(task, checkpoint_path=None):
         hits.extend(_walk(orb, chunk_lo, chunk_hi, stats))
         stats["candidates"] = chunk_hi - lo
         stats["hits"] = len(hits)
+        bent = tuple(sanf for _, sanf in sorted(hits))
+        elapsed = time.perf_counter() - started
+        result = SearchResult(task, (lo, chunk_hi), bent, dict(stats), elapsed)
         if checkpoint_path is not None:
-            so_far = tuple(sanf for _, sanf in sorted(hits))
-            result = SearchResult(task, chunk_hi - lo, so_far, dict(stats))
-            _append_checkpoint(checkpoint_path, result, started, (chunk_lo, chunk_hi))
-    bent = tuple(sanf for _, sanf in sorted(hits))
-    return SearchResult(task, count, bent, dict(stats))
+            _append_checkpoint(checkpoint_path, result)
+    return result
 
 
 def bent_verdict(sanf):

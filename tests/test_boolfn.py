@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from rotbent import (
     AnfForm,
+    CapacityError,
     algebraic_degree,
     anf_from_truth_table,
     boolfn,
+    is_bent,
     truth_table_from_anf,
+    walsh_spectrum,
 )
 from rotbent.boolfn import TruthTable, _bit_butterfly, _butterfly, _xor_step
 from rotbent.covercoef import _mobius_sub, _superset_sums, _zeta_add
@@ -115,6 +119,23 @@ def test_validation_errors():
         AnfForm(2, frozenset({-1}))
     with pytest.raises(ValueError):
         AnfForm(0, frozenset())
+
+
+@pytest.mark.parametrize("n", [24, 30])
+@pytest.mark.parametrize("use", [is_bent, walsh_spectrum, anf_from_truth_table])
+def test_caller_tables_past_the_cap_are_refused_before_reading(use, n):
+    # the caller's own 2^n array exists already; the table refuses it before
+    # the copy and before any transform (an int32 transform at n = 30 is 4 GiB)
+    bits = np.zeros(1 << n, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            use(TruthTable(n, bits))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"full 2^n tables are limited to n <= 22, got n={n}"
+    assert peak < 1 << 20
 
 
 # step -> (kernel step, dtype the package runs it in, input range, scalar pair map)

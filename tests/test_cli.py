@@ -144,6 +144,17 @@ def test_classify_text(capsys):
     assert lines[-1] == "8 bent degree-2 functions on n=8"
 
 
+def test_classify_json_matches_text(capsys):
+    code, text, _ = run(["classify-deg2", "-n", "10"], capsys)
+    assert code == 0
+    *names, last = text.splitlines()
+    code, out, _ = run(["classify-deg2", "-n", "10", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"n": 10, "bent": names}
+    assert names == [format_sanf(s) for s in classify_degree2(10)]
+    assert last == f"{len(names)} bent degree-2 functions on n=10"
+
+
 def test_classify_odd_n(capsys):
     code, _, err = run(["classify-deg2", "-n", "7"], capsys)
     assert code == 2
@@ -170,6 +181,32 @@ def test_spectrum(capsys):
     assert out == "2 2 2 -2\n"
 
 
+@pytest.mark.parametrize("n, text", [(2, "x1x2"), (6, "x1x2x3+x1x2x4"), (8, "x1x5")])
+def test_spectrum_json_matches_text(n, text, capsys):
+    values = walsh_spectrum(sanf_truth_table(parse_sanf(text, n))).values.tolist()
+    code, out, _ = run(["spectrum", "-n", str(n), text], capsys)
+    assert (code, out) == (0, " ".join(map(str, values)) + "\n")
+    code, out, _ = run(["spectrum", "-n", str(n), text, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"n": n, "sanf": text, "values": values}
+
+
+@pytest.mark.parametrize(
+    "n, text, u, value, v2",
+    [
+        (2, "x1x2", "11", -2, 1),
+        (2, "x1x2", "10", 0, "inf"),
+        (20, "x1x2x3+x1x2x4", "1" * 18 + "00", -832, 6),
+    ],
+)
+def test_hcoeff_single_json_matches_text(n, text, u, value, v2, capsys):
+    code, out, _ = run(["hcoeff", "-n", str(n), text, "--u", u], capsys)
+    assert (code, out) == (0, f"value={value} v2={v2}\n")
+    code, out, _ = run(["hcoeff", "-n", str(n), text, "--u", u, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"n": n, "sanf": text, "u": u, "value": value, "v2": v2}
+
+
 def test_hcoeff_single(capsys):
     code, out, _ = run(["hcoeff", "-n", "2", "x1x2", "--u", "11"], capsys)
     assert code == 0
@@ -187,12 +224,15 @@ def test_hcoeff_single(capsys):
     code, out, _ = run(["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", u + "0000"], capsys)
     assert (code, out) == (0, "value=-832 v2=6\n")
     # weight 21 takes the subset walk, capped at 24 monomials, and the
-    # spectrum behind it refuses n = 24 at the table cap
+    # spectrum behind it refuses n = 24 at the table cap: both reasons are named
     code, out, err = run(
         ["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", "1" * 21 + "000"], capsys
     )
     assert (code, out) == (2, "")
-    assert err == "error: full 2^n tables are limited to n <= 22, got n=24\n"
+    assert err == (
+        "error: the subset walk for |u| > 20 takes at most 24 monomials, got 48; "
+        "full 2^n tables are limited to n <= 22, got n=24\n"
+    )
 
 
 def test_hcoeff_all_json(capsys):
@@ -355,7 +395,9 @@ def test_search_text_adds_one_stats_line(capsys):
     assert code == 0
     code, out, _ = run(["search", "-n", "8", "-d", "2", "--format", "json"], capsys)
     data = json.loads(out)
-    assert sorted(data) == ["bent", "candidates_tested", "d", "elapsed_s", "n", "shard", "stats"]
+    assert sorted(data) == [
+        "bent", "candidates_tested", "d", "elapsed_s", "n", "params_hash", "range", "shard", "stats"
+    ]
     *names, line, last = text.splitlines()
     assert names == data["bent"] and last == "8 bent / 15 tested"
     assert line.startswith("stats: ")
@@ -380,6 +422,37 @@ def test_search_lists_hits_in_subset_index_order(tmp_path, capsys):
     assert len(printed) == 8 and printed[0] == "x1x5"
     assert json.loads(out.read_text())["bent"] == printed
     assert json.loads(log.read_text().splitlines()[-1])["bent"] == printed
+
+
+@pytest.mark.parametrize(
+    "shard, lo, hi",
+    [(None, 1, 1 << 22), ("1/3", 1 + ((1 << 22) - 1) // 3, 1 + ((1 << 22) - 1) * 2 // 3)],
+)
+def test_search_writes_one_record_everywhere(tmp_path, capsys, shard, lo, hi):
+    # n = 10 d = 4 spans several chunks of 2^20 indices: each checkpoint line
+    # covers [lo, chunk end), and its counts and hits are those of that range;
+    # stdout, --out and the last line are the one final record
+    log, out = tmp_path / "run.jsonl", tmp_path / "result.json"
+    argv = ["search", "-n", "10", "-d", "4", "--format", "json"]
+    argv += ["--checkpoint", str(log), "--out", str(out)] + (["--shard", shard] if shard else [])
+    code, text, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    ends = [min(end, hi) for end in range(lo + (1 << 20), hi + (1 << 20), 1 << 20)]
+    assert [r["range"] for r in records] == [[lo, end] for end in ends]
+    assert len(records) == (4 if shard is None else 2)
+    for r in records:
+        assert r["range"][1] - r["range"][0] == r["candidates_tested"] == r["stats"]["candidates"]
+        assert r["stats"]["hits"] == len(r["bent"])
+        assert r["shard"] == (None if shard is None else [1, 3])
+    assert json.loads(text) == json.loads(out.read_text()) == records[-1]
+
+
+@pytest.mark.parametrize("shard", ["1", "a/b", "1/2/3"])
+def test_search_shard_syntax(shard, capsys):
+    code, out, err = run(["search", "-n", "8", "-d", "2", "--shard", shard], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: shard must look like INDEX/TOTAL, e.g. 0/4\n"
 
 
 def test_search_shard(capsys):

@@ -9,6 +9,7 @@ import pytest
 from rotbent import (
     INCONCLUSIVE,
     NOT_BENT,
+    InternalInconsistencyError,
     Sanf,
     all_checks,
     cover_coefficient,
@@ -21,6 +22,7 @@ from rotbent import (
     verify_witness,
 )
 from rotbent.cli import main
+from rotbent.covercoef import CoverValue
 from rotbent.nonexistence import (
     check_block_pair,
     check_gap_bounds,
@@ -253,6 +255,24 @@ def test_verify_witness():
         verify_witness(sanf, check_gap_bounds(sanf))  # no witness carried
     with pytest.raises(ValueError):
         verify_witness(sanf, dataclasses.replace(rep, witness_u0=(1 << 8) - 1))
+
+
+def test_cover_routes_that_disagree_are_exit_3(monkeypatch, capsys):
+    # verify_witness reads H(u0) from the monomials and from the spectrum; a
+    # spectrum route that answers differently stops the command with exit 3
+    sanf = parse_sanf("x1x2x3", 8)
+    rep = check_shift_chain(sanf)
+    real = nonexistence.cover_coefficient_from_spectrum
+
+    def off_by_two(spectrum, u):
+        return CoverValue(real(spectrum, u).value + 2, 1)
+
+    monkeypatch.setattr(nonexistence, "cover_coefficient_from_spectrum", off_by_two)
+    with pytest.raises(InternalInconsistencyError, match="cover routes disagree at u0"):
+        verify_witness(sanf, rep)
+    assert main(["nonexist", "-n", "8", "x1x2x3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("inconsistency: cover routes disagree at u0: ")
 
 
 def test_witness_valuation_is_independently_small():

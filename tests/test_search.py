@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotbent import (
+    NOT_BENT,
     CapacityError,
     InternalInconsistencyError,
     Sanf,
@@ -29,6 +30,7 @@ from rotbent import (
 )
 from rotbent.boolfn import TruthTable
 from rotbent.cli import main
+from rotbent.nonexistence import NonexistenceReport
 from rotbent.rotsym import is_rotation_symmetric, rotate
 from rotbent.search import bent_verdict
 
@@ -435,6 +437,17 @@ def test_degree2_verdicts_take_all_four_routes():
             bent, methods = bent_verdict(sanf)
             assert methods == ["walsh", "valuation", "gcd", "rank"], format_sanf(sanf)
             assert bent == is_bent(sanf_truth_table(sanf)), format_sanf(sanf)
+
+
+def test_a_rule_that_rejects_a_bent_function_is_unsound(monkeypatch):
+    # x1x4 is the first bent candidate of n = 6 d = 2 in subset order
+    def always_fires(sanf):
+        return [("shift-chain", NonexistenceReport(sanf.n, "shift-chain", NOT_BENT))]
+
+    monkeypatch.setattr(search, "all_checks", always_fires)
+    with pytest.raises(InternalInconsistencyError) as exc:
+        search_crosscheck(6, 2)
+    assert str(exc.value) == "unsound rule shift-chain on bent x1x4"
 
 
 def test_a_route_that_disagrees_names_the_sanf(monkeypatch):

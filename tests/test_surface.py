@@ -201,6 +201,30 @@ def test_one_route_comparison():
     assert sites == [("search.py", "bent_verdict")]
 
 
+def test_one_run_record():
+    # a search's run record is built only in search.SearchResult.as_dict: its
+    # added keys are dict keys nowhere else, and the stats names stay in search.py
+    keys, builders = {"params_hash", "elapsed_s"}, {"dict", "update"}
+    sites, stats = [], []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Constant) and node.value in keys:
+            sites.append((path.name, scope))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in builders:
+            sites.extend((path.name, scope) for kw in node.keywords if kw.arg in keys)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        visit(ast.parse(text), None)
+        stats += [path.name] if re.search(r"\b_STATS\b", text) else []
+    assert sorted(set(sites)) == [("search.py", "SearchResult.as_dict")]
+    assert stats == ["search.py"]
+
+
 def test_no_environment_knobs_or_worker_pools():
     # a run is set by its arguments and runs in one process; parallel searches
     # are --shard slices started as separate processes
