@@ -88,15 +88,13 @@ class AnfForm:
 # Levels with h <= this run one step call per offset j in the block.  A
 # (blocks, h) view gives numpy inner loops only h long; one strided 1-D view
 # per offset is a single long loop.  Transforms of 0/1 inputs read h = 1-8
-# from `_pattern_table`, so only the uint8 zeta count, the int64 superset
-# sums, the XOR levels on packed words, rows under 16 entries and the
-# pattern tables' own build still reach this loop.  Per level (2-core host,
-# best of 21), one call against the offset loop, in ms: uint8 zeta at
-# n = 20, h = 2 3.4 / 0.27, h = 8 0.92 / 0.30, h = 16 0.48 / 0.37; int64
-# superset sums on one 1 MiB block, h = 2 0.47 / 0.05, h = 8 0.16 / 0.12,
-# h = 16 0.11 / 0.15; uint16 XOR words at n = 20, h = 2 0.22 / 0.02, h = 8
-# 0.06 / 0.03, h = 16 0.03 / 0.06.  Above 8 the h passes over the array cost
-# more than the short inner loops save, except for uint8 at h = 16.
+# from `_pattern_table`, so only the int64 superset sums, the XOR levels on
+# packed words, rows under 16 entries and the pattern tables' own build
+# still reach this loop.  Per level (2-core host, best of 21), one call
+# against the offset loop, in ms: int64 superset sums on one 1 MiB block,
+# h = 2 0.47 / 0.05, h = 8 0.16 / 0.12, h = 16 0.11 / 0.15; uint16 XOR words
+# at n = 20, h = 2 0.22 / 0.02, h = 8 0.06 / 0.03, h = 16 0.03 / 0.06.  Above 8
+# the h passes over the array cost more than the short inner loops save.
 _OFFSET_LOOP_MAX = 8
 
 # Rows larger than this run their low levels block by block (blocks of this
@@ -104,8 +102,7 @@ _OFFSET_LOOP_MAX = 8
 # best of 9, two runs), unblocked / 1 MiB / 512 KiB blocks, in ms: int32
 # signed from a 0/1 table 13.6-16.4 / 10.1-10.7 / 11.3-12.5, int32 Moebius
 # 6.1-7.1 / 4.5-4.8 / 5.5-6.3, int64 superset sums 18.2 / 11.0-11.8 /
-# 13.3-14.9; n = 18 int64 superset sums 3.8 / 2.4-3.1 / 3.0-3.2.  uint8
-# tables at n = 20 fill exactly 1 MiB and stay unblocked.
+# 13.3-14.9; n = 18 int64 superset sums 3.8 / 2.4-3.1 / 3.0-3.2.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -119,7 +116,8 @@ def _butterfly(a, step, start=1):
     `_OFFSET_LOOP_MAX`) it is called once per offset j < h on the strided
     (blocks,) views of entry j of each half instead.  Returns a.  Every
     transform in this package is one such step: XOR (Moebius over GF(2)),
-    add/subtract (zeta/Moebius over the integers), and the signed Walsh pair.
+    subtract (Moebius over the integers), add (superset sums) and the signed
+    Walsh pair.
 
     When a row is larger than `_BLOCK_BYTES`, the levels below the block
     size run block by block, so each block stays in cache through all of
@@ -195,6 +193,22 @@ def _bit_butterfly(bits, step):
     return _butterfly(out, step, 16)
 
 
+def _table_bits(monomials, n):
+    """0/1 table of a monomial list's sum: the one ANF -> table transform."""
+    _check_table_n(n)
+    try:
+        masks = np.fromiter(monomials, dtype=np.intp)
+    except OverflowError:
+        raise ValueError(f"monomial mask out of range for n={n}") from None
+    bad = masks[(masks < 0) | (masks >= 1 << n)]
+    if bad.size:
+        raise ValueError(f"monomial mask {bad[0]} out of range for n={n}")
+    ind = np.zeros(1 << n, dtype=np.uint8)
+    np.add.at(ind, masks, np.uint8(1))  # a Python 1 takes a 40x slower casting path
+    ind &= 1  # repeats cancel in pairs: the uint8 count wraps with its parity kept
+    return _bit_butterfly(ind, _xor_step)
+
+
 def anf_from_truth_table(tt):
     """Moebius transform of the table: monomials with coefficient 1."""
     coeffs = _bit_butterfly(tt.bits, _xor_step)
@@ -202,12 +216,8 @@ def anf_from_truth_table(tt):
 
 
 def truth_table_from_anf(anf):
-    """Evaluate an ANF on all inputs via the same butterfly (involution)."""
-    _check_table_n(anf.n)
-    ind = np.zeros(1 << anf.n, dtype=np.uint8)
-    for m in anf.monomials:
-        ind[m] = 1
-    return TruthTable(anf.n, _bit_butterfly(ind, _xor_step))
+    """Evaluate an ANF on all inputs."""
+    return TruthTable(anf.n, _table_bits(anf.monomials, anf.n))
 
 
 def algebraic_degree(anf):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for success (and affirmative predicate verdicts), 1 for a
-negative predicate verdict (not bent, or no rule fires), 2 for usage and
-capacity errors, 3 when internal cross-checks disagree.
+negative predicate verdict (not bent, or no rule fires), 2 for usage,
+capacity and file errors, 3 when internal cross-checks disagree.
 
 `bent-check` runs and cross-checks every feasible route (`search.bent_verdict`);
 past a library size cap a command prints the refusal and exits 2.  `nonexist`
@@ -289,7 +289,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:  # OSError: --out, --checkpoint
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:

@@ -19,14 +19,14 @@ Two independent routes are provided: `cover_coefficient` and
 the Walsh transform.  They must agree everywhere; tests enforce that.
 `cover_coefficient` picks its own way to one H(u): the coefficient lattice
 on the support of u at any list size when |u| <= 20, and past that a
-literal subset walk capped at 24 monomials.
-`bent_by_valuation` uses the monomial route only, so its verdict is
-independent of the Walsh test.
+literal subset walk capped at 24 monomials.  `bent_by_valuation` uses the
+monomial route only, so its verdict is independent of the Walsh test.
 
 The monomial route runs on one int32 transform, `all_cover_coefficients`:
-`cover_coefficient` reads its all-ones entry on the support of u, and
-`bent_by_valuation` tests its entries for divisibility instead of computing
-valuations, since v2(H) >= k iff H & (2^k - 1) == 0.
+the integer Moebius transform of (-1)^f, where f's 0/1 table comes from
+the ANF transform behind `truth_table_from_anf`.  `cover_coefficient` reads
+its all-ones entry on the support of u, and `bent_by_valuation` tests its
+entries for divisibility, since v2(H) >= k iff H & (2^k - 1) == 0.
 """
 
 import functools
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import _bit_butterfly, _butterfly
+from .boolfn import _bit_butterfly, _butterfly, _table_bits
 from .errors import CapacityError, InternalInconsistencyError
 
 CAPACITY = 24  # cap on the monomial-list size for `cover_coefficient`'s subset walk
@@ -68,11 +68,6 @@ def _popcounts(n):
     return pc
 
 
-def _zeta_add(lo, hi):
-    """One level of a[v] <- sum over subsets of v."""
-    np.add(hi, lo, out=hi)
-
-
 def _mobius_sub(lo, hi):
     """One level of the inverse: a[u] <- sum_{v subset u} (-1)^(|u|-|v|) a[v]."""
     np.subtract(hi, lo, out=hi)
@@ -86,23 +81,17 @@ def _superset_sums(lo, hi):
 def all_cover_coefficients(monomials, n):
     """H(u) for every u as int32: the one transform behind the monomial route.
 
-    Uses the exact identity H(u) = sum_{v subset u} (-1)^(|u|-|v|) (-1)^c(v)
-    with c(v) the number of list monomials contained in v, which equals the
-    literal subset sum term by term.  No capacity cap: cost is O(n 2^n).
-    Only the parity of c(v) is used, so the count runs in uint8 (a wrap keeps
-    the parity) and is cut to its 0/1 parity in place.  The Moebius transform
-    of (-1)^parity starts from those bits: its four lowest levels are read as
-    int8 from a table of 16-bit patterns, no sign vector is built, and the
-    levels above run in int32, exact since every partial sum is bounded by
-    2^n <= 2^20 (`_ARRAY_N_MAX`).
+    Uses the exact identity H(u) = sum_{v subset u} (-1)^(|u|-|v|) (-1)^f(v)
+    for f the sum of the list, equal to the literal subset sum term by term.
+    Repeats cancel in pairs; masks outside [0, 2^n) raise ValueError.  Cost
+    is O(n 2^n) at any list size.  f's 0/1 table comes from the ANF transform
+    behind `truth_table_from_anf`; the integer Moebius transform reads its
+    four lowest levels as int8 from 16-bit pattern tables and runs the rest
+    in int32, exact since every partial sum is bounded by 2^n <= 2^20 (`_ARRAY_N_MAX`).
     """
     if n > _ARRAY_N_MAX:
         raise CapacityError(f"full coefficient array needs n <= {_ARRAY_N_MAX}")
-    cnt = np.zeros(1 << n, dtype=np.uint8)
-    np.add.at(cnt, np.fromiter(monomials, dtype=np.intp), 1)
-    _butterfly(cnt, _zeta_add)
-    cnt &= 1
-    return _bit_butterfly(cnt, _mobius_sub)
+    return _bit_butterfly(_table_bits(monomials, n), _mobius_sub)
 
 
 def _walk(sub, u):

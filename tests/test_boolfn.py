@@ -13,6 +13,7 @@ from rotbent import (
     AnfForm,
     CapacityError,
     algebraic_degree,
+    all_cover_coefficients,
     anf_from_truth_table,
     boolfn,
     is_bent,
@@ -20,7 +21,7 @@ from rotbent import (
     walsh_spectrum,
 )
 from rotbent.boolfn import TruthTable, _bit_butterfly, _butterfly, _xor_step
-from rotbent.covercoef import _mobius_sub, _superset_sums, _zeta_add
+from rotbent.covercoef import _mobius_sub, _superset_sums
 from rotbent.walsh import _signed_step
 
 
@@ -43,6 +44,45 @@ def test_truth_table_matches_naive_evaluation():
         tt = truth_table_from_anf(anf)
         for i in range(1 << n):
             assert tt.bits[i] == eval_anf_naive(anf.monomials, n, i)
+
+
+def naive_cover_from_table(bits, n):
+    # H(u) = sum over v subset of u of (-1)^(|u|-|v|) (-1)^f(v), 256 masks u
+    # at a time (a whole 2^12 x 2^12 int64 matrix would be 128 MiB)
+    idx = np.arange(1 << n)
+    sign = 1 - 2 * (np.bitwise_count(idx).astype(np.int64) & 1)  # (-1)^|v|
+    terms = sign * (1 - 2 * bits.astype(np.int64))
+    sums = [
+        np.where(idx & ~u[:, None] == 0, terms, 0).sum(axis=1)
+        for u in np.split(idx, range(256, 1 << n, 256))
+    ]
+    return sign * np.concatenate(sums)
+
+
+def test_anf_to_table_transform_matches_naive_evaluation_with_repeats():
+    # the one ANF -> table transform, through both callers: a mask listed k
+    # times counts k mod 2 (256 copies vanish, 257 count once); n = 1-3 run
+    # the plain kernel, n >= 4 the pattern table, n >= 5 the packed words
+    rng = random.Random(23)
+    for n in range(1, 13):
+        for _ in range(4):
+            masks = rng.choices(range(1 << n), k=rng.randint(0, 40))
+            masks += [rng.randrange(1 << n)] * 256 + [rng.randrange(1 << n)] * 257
+            rng.shuffle(masks)
+            want = np.array([eval_anf_naive(masks, n, i) for i in range(1 << n)])
+            odd = frozenset(m for m in masks if masks.count(m) % 2)
+            assert np.array_equal(truth_table_from_anf(AnfForm(n, odd)).bits, want)
+            harr = all_cover_coefficients(masks, n)
+            assert np.array_equal(harr, naive_cover_from_table(want, n))
+
+
+@pytest.mark.parametrize("mask", [-1, 8, 1 << 70])
+def test_out_of_range_masks_are_refused(mask):
+    # masks outside [0, 2^n) are refused, not wrapped onto another monomial
+    with pytest.raises(ValueError, match=r"^monomial mask .*out of range for n=3$") as exc:
+        all_cover_coefficients([3, mask], 3)
+    if abs(mask) < 1 << 63:
+        assert str(exc.value) == f"monomial mask {mask} out of range for n=3"
 
 
 def test_round_trip_anf_table_anf():
@@ -142,7 +182,6 @@ def test_caller_tables_past_the_cap_are_refused_before_reading(use, n):
 KERNEL_STEPS = {
     "xor": (_xor_step, np.uint8, (0, 1), lambda lo, hi: (lo, lo ^ hi)),
     "signed": (_signed_step, np.int32, (-1, 1), lambda lo, hi: (lo + hi, lo - hi)),
-    "zeta": (_zeta_add, np.uint8, (0, 3), lambda lo, hi: (lo, hi + lo)),
     "mobius": (_mobius_sub, np.int32, (-3, 3), lambda lo, hi: (lo, hi - lo)),
     "superset": (_superset_sums, np.int64, (-(1 << 30), 1 << 30), lambda lo, hi: (lo + hi, hi)),
 }
@@ -168,7 +207,7 @@ def per_level_reference(row, pair):
     st.integers(0, 2**32 - 1),
 )
 @example("signed", 4, 0, 1)  # h <= 8 at every level: all on the offset loop
-@example("zeta", 4, 3, 2)
+@example("mobius", 4, 3, 2)
 @example("xor", 12, 3, 3)  # both branches of the kernel
 @example("superset", 12, 0, 4)
 def test_butterfly_matches_a_per_level_reference(name, n, k, seed):

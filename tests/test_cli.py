@@ -491,6 +491,16 @@ def test_search_out_untouched_by_a_refused_run(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
 
 
+@pytest.mark.parametrize("option", ["--out", "--checkpoint"])
+def test_search_unwritable_path_is_a_usage_error(tmp_path, capsys, option):
+    # a missing directory is an error (exit 2), not a "not bent" verdict (exit 1)
+    path = tmp_path / "missing" / "result.json"
+    code, out, err = run(["search", "-n", "8", "-d", "2", option, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory:") and str(path.parent) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_budget_guidance(capsys):
     # the budget is 2^24 candidates; the guard refuses before any table is built
     for extra, count, shards in (([], 67108863, 4), (["--shard", "0/3"], 22369621, 2)):

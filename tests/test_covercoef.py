@@ -185,7 +185,7 @@ def test_inconsistent_spectrum_is_rejected():
 
 
 def test_repeated_monomials_count_modulo_two():
-    # the count zeta runs in uint8: 256 copies wrap to 0, 257 to 1
+    # the table transform counts each mask in uint8: 256 copies wrap to 0, 257 to 1
     n, rest, m = 6, [3, 12, 33], 0b010110
     without = all_cover_coefficients(rest, n)
     once = all_cover_coefficients(rest + [m], n)

@@ -58,6 +58,32 @@ def test_one_transform_kernel():
     assert sites == [("boolfn.py", "_butterfly")]
 
 
+def test_one_anf_to_table_transform():
+    # boolfn._table_bits alone turns a monomial list into a table: no other
+    # function counts monomials into an indicator (a ufunc's `.at`) or hands
+    # `_xor_step`, the GF(2) transform, to the kernel.  The one exception is
+    # the other direction, anf_from_truth_table, which runs the step on the
+    # table's own bits (read as a monomial list, its ones took 12x as long at
+    # n = 20)
+    kernels = {"_butterfly", "_bit_butterfly"}
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            xor = "_xor_step" in [ast.unparse(a) for a in node.args]
+            if callee.endswith(".at") or (callee.split(".")[-1] in kernels and xor):
+                sites.append((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert sites == [("boolfn.py", "_table_bits")] * 2 + [("boolfn.py", "anf_from_truth_table")]
+
+
 @pytest.mark.parametrize("step", [_xor_step, _signed_step, _mobius_sub])
 def test_pattern_tables_are_the_kernel_on_every_pattern(step):
     # row p of a pattern table is `_butterfly` run on the 16 bits of p
