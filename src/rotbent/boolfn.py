@@ -212,7 +212,7 @@ def _table_bits(monomials, n):
 def anf_from_truth_table(tt):
     """Moebius transform of the table: monomials with coefficient 1."""
     coeffs = _bit_butterfly(tt.bits, _xor_step)
-    return AnfForm(tt.n, frozenset(int(i) for i in np.flatnonzero(coeffs)))
+    return AnfForm(tt.n, frozenset(np.flatnonzero(coeffs).tolist()))
 
 
 def truth_table_from_anf(anf):

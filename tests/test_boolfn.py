@@ -85,6 +85,26 @@ def test_out_of_range_masks_are_refused(mask):
         assert str(exc.value) == f"monomial mask {mask} out of range for n=3"
 
 
+def naive_anf_from_table(bits, n):
+    # coefficient of m = XOR of f(v) over v subset of m, 256 masks m at a time
+    idx = np.arange(1 << n)
+    coeffs = [
+        np.where(idx & ~m[:, None] == 0, bits, 0).sum(axis=1) & 1
+        for m in np.split(idx, range(256, 1 << n, 256))
+    ]
+    return frozenset(np.flatnonzero(np.concatenate(coeffs)).tolist())
+
+
+def test_anf_of_random_tables_matches_the_subset_sums():
+    rng = np.random.default_rng(31)
+    for n in range(1, 13):
+        for _ in range(3):
+            bits = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+            anf = anf_from_truth_table(TruthTable(n, bits))
+            assert anf.monomials == naive_anf_from_table(bits, n), n
+            assert all(type(m) is int for m in anf.monomials)
+
+
 def test_round_trip_anf_table_anf():
     rng = random.Random(11)
     for _ in range(200):

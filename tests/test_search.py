@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -83,6 +84,94 @@ def test_shards_partition_the_space():
         assert tested == whole.candidates
         assert sorted(s.reps for s in merged) == sorted(s.reps for s in whole.bent)
         assert counts == {k: whole.stats[k] for k in _ADDITIVE}, (n, d)
+
+
+def _walked_tables(monkeypatch):
+    """The `_OrbitTables` object each `_walk` call gets, in call order."""
+    seen, real = [], search._walk
+
+    def spy(orb, lo, hi, stats):
+        seen.append(orb)
+        return real(orb, lo, hi, stats)
+
+    monkeypatch.setattr(search, "_walk", spy)
+    return seen
+
+
+def _builds(monkeypatch):
+    """(n, layer held at the time) of each `_OrbitTables` build, from a cold start."""
+    seen, real = [], search._OrbitTables
+
+    def spy(n, reps):
+        seen.append((n, search._layer))
+        return real(n, reps)
+
+    monkeypatch.setattr(search, "_OrbitTables", spy)
+    monkeypatch.setattr(search, "_layer", None)
+    return seen
+
+
+def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
+    seen, builds = _walked_tables(monkeypatch), _builds(monkeypatch)
+    for shard in ((0, 3), (2, 3), None):
+        exhaustive_search(SearchTask(10, 3, shard))
+    orb = seen[0]
+    assert all(o is orb for o in seen) and len(seen) == 3
+    assert builds == [(10, None)]
+    arrays = [orb.members, orb.coords, orb.sieve, orb.tables, orb.low]
+    arrays += [cls for _, cls in orb.classes]
+    assert len(arrays) >= 6
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+def _record(result):
+    """`as_dict()` without the timings: what a cold and a warm call must share."""
+    d = result.as_dict()
+    del d["elapsed_s"]
+    d["stats"] = {k: v for k, v in d["stats"].items() if not k.endswith("_s")}
+    return d
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (10, 3), (12, 3)])
+def test_a_warm_call_gives_the_result_of_a_cold_one(monkeypatch, n, d):
+    builds = _builds(monkeypatch)
+    cold = exhaustive_search(SearchTask(n, d))
+    warm = exhaustive_search(SearchTask(n, d))
+    assert builds == [(n, None)]
+    assert warm == cold and _record(warm) == _record(cold)
+
+
+@pytest.mark.parametrize("n, d", [(8, 3), (10, 3)])
+def test_every_warm_shard_sums_to_the_whole_layer(monkeypatch, n, d):
+    seen = _walked_tables(monkeypatch)
+    whole = exhaustive_search(SearchTask(n, d))
+    total = 7
+    parts = [exhaustive_search(SearchTask(n, d, (i, total))) for i in range(total)]
+    assert all(o is seen[0] for o in seen)
+    assert [p.range for p in parts] == sorted(p.range for p in parts)
+    assert parts[0].range[0] == whole.range[0] and parts[-1].range[1] == whole.range[1]
+    assert all(a.range[1] == b.range[0] for a, b in zip(parts, parts[1:]))
+    counts = Counter()
+    for p in parts:
+        counts.update({k: p.stats[k] for k in _ADDITIVE})
+    assert counts == {k: whole.stats[k] for k in _ADDITIVE}
+    assert tuple(s for p in parts for s in p.bent) == whole.bent
+
+
+def test_another_layer_replaces_the_held_tables_after_dropping_them(monkeypatch):
+    builds = _builds(monkeypatch)
+    exhaustive_search(SearchTask(8, 3))
+    old = weakref.ref(search._layer[2])
+    exhaustive_search(SearchTask(10, 3))
+    assert builds == [(8, None), (10, None)]  # nothing held during either build
+    assert old() is None
+    reps = tuple(enumerate_orbit_reps(10, 3))
+    n, held, orb = search._layer
+    assert (n, held) == (10, reps) and (orb.n, orb.reps) == (10, reps)
+    assert search._layer_tables(10, reps) is orb and len(builds) == 2
 
 
 def test_search_stats():
