@@ -24,7 +24,6 @@ from .covercoef import (
     _popcounts,
     all_cover_coefficients,
     cover_coefficient,
-    cover_coefficient_from_spectrum,
     two_adic_valuation,
 )
 from .errors import CapacityError, InternalInconsistencyError
@@ -141,13 +140,7 @@ def cmd_hcoeff(args):
             print(_all_u_rows(n, harr, "u=", lambda h, v: f" value={h} v2={v}", "\n"))
         return 0
     u = bits_to_mask(args.u, n)
-    try:
-        cv = cover_coefficient(monos, u)
-    except CapacityError as walk:  # past the subset walk: the spectrum, up to the table cap
-        try:
-            cv = cover_coefficient_from_spectrum(walsh_spectrum(sanf_truth_table(sanf)), u)
-        except CapacityError as table:
-            raise CapacityError(f"{walk}; {table}") from None
+    cv = cover_coefficient(monos, u)
     v2 = _v2_text(cv.valuation)
     if args.format == "json":
         print(

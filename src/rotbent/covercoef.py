@@ -17,16 +17,19 @@ Two independent routes are provided: `cover_coefficient` and
 `all_cover_coefficients` work straight off the monomial list,
 `cover_coefficient_from_spectrum` and `all_cover_from_spectrum` go through
 the Walsh transform.  They must agree everywhere; tests enforce that.
-`cover_coefficient` picks its own way to one H(u): the coefficient lattice
-on the support of u at any list size when |u| <= 20, and past that a
-literal subset walk capped at 24 monomials.  `bent_by_valuation` uses the
-monomial route only, so its verdict is independent of the Walsh test.
+`bent_by_valuation` uses the monomial route only, so its verdict is
+independent of the Walsh test.
 
-The monomial route runs on one int32 transform, `all_cover_coefficients`:
-the integer Moebius transform of (-1)^f, where f's 0/1 table comes from
-the ANF transform behind `truth_table_from_anf`.  `cover_coefficient` reads
-its all-ones entry on the support of u, and `bent_by_valuation` tests its
-entries for divisibility, since v2(H) >= k iff H & (2^k - 1) == 0.
+One H(u) is the Walsh value at all-ones of f restricted to the support of
+u: H(u) = (-1)^|u| * (2^|u| - 2 wt(g)), where g adds x1 + ... + x|u| to the
+monomials inside u compressed onto its |u| positions.  `cover_coefficient`
+builds g's table with the ANF transform behind `truth_table_from_anf`, at
+any list size while |u| <= 22 (the table cap), and past it takes a literal
+subset walk capped at 24 monomials; it is the one route choice for a
+single H(u).  `all_cover_coefficients` gives every H(u) at once: the
+int32 integer Moebius transform of (-1)^f over f's 0/1 table, whose
+entries `bent_by_valuation` tests for divisibility, since v2(H) >= k iff
+H & (2^k - 1) == 0.
 """
 
 import functools
@@ -39,7 +42,7 @@ from .boolfn import _bit_butterfly, _butterfly, _table_bits
 from .errors import CapacityError, InternalInconsistencyError
 
 CAPACITY = 24  # cap on the monomial-list size for `cover_coefficient`'s subset walk
-_ARRAY_N_MAX = 20  # coefficient arrays, the lattice and witness spectrum checks stop here
+_ARRAY_N_MAX = 20  # coefficient arrays and witness spectrum checks stop here
 
 INFINITE = math.inf
 
@@ -79,7 +82,7 @@ def _superset_sums(lo, hi):
 
 
 def all_cover_coefficients(monomials, n):
-    """H(u) for every u as int32: the one transform behind the monomial route.
+    """H(u) for every u as int32, from the monomial list in one transform.
 
     Uses the exact identity H(u) = sum_{v subset u} (-1)^(|u|-|v|) (-1)^f(v)
     for f the sum of the list, equal to the literal subset sum term by term.
@@ -95,7 +98,7 @@ def all_cover_coefficients(monomials, n):
 
 
 def _walk(sub, u):
-    """Literal pruned subset walk used when u has too many bits to compress."""
+    """Literal pruned subset walk used when u has too many bits for a table."""
     suffix = [0] * (len(sub) + 1)
     for i in range(len(sub) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | sub[i]
@@ -113,28 +116,32 @@ def _walk(sub, u):
 def cover_coefficient(monomials, u):
     """H(u) for one u from the monomial list; the one single-mask route choice.
 
-    When |u| <= `_ARRAY_N_MAX` (20) the monomials inside u are compressed
-    onto its |u| set positions and H(u) is the all-ones entry of their
-    coefficient lattice, at any list size.  A larger u takes the literal
-    subset walk, which refuses lists of more than `CAPACITY` (24) monomials.
+    The monomials inside u are compressed onto its w = |u| set positions, and
+    H(u) = (-1)^w * (2^w - 2 wt) with wt the weight of the table of that list
+    plus x1 ... xw, at any list size.  Past the table cap (w > 22, refused
+    before the table is allocated) the literal subset walk takes over, and
+    it refuses lists of more than `CAPACITY` (24) monomials.
     """
     monos = list(monomials)
-    if u.bit_count() <= _ARRAY_N_MAX:
-        pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
-        place = {p: i for i, p in enumerate(pos)}
-        compressed = [
-            sum(1 << place[j] for j in range(m.bit_length()) if (m >> j) & 1)
-            for m in monos
-            if m & ~u == 0
-        ]
-        val = int(all_cover_coefficients(compressed, len(pos))[-1])
-    elif len(monos) > CAPACITY:
-        raise CapacityError(
-            f"the subset walk for |u| > {_ARRAY_N_MAX} takes at most {CAPACITY} "
-            f"monomials, got {len(monos)}"
-        )
+    inside = [m for m in monos if m & ~u == 0]
+    pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
+    place = {p: i for i, p in enumerate(pos)}
+    w = len(pos)
+    compressed = [
+        sum(1 << place[j] for j in range(m.bit_length()) if (m >> j) & 1) for m in inside
+    ]
+    try:
+        bits = _table_bits(compressed + [1 << i for i in range(w)], w)
+    except CapacityError as table:
+        if len(monos) > CAPACITY:
+            raise CapacityError(
+                f"H(u) at |u| = {w}: {table}; the subset walk takes at most "
+                f"{CAPACITY} monomials, got {len(monos)}"
+            ) from None
+        val = _walk(inside, u)
     else:
-        val = _walk([m for m in monos if m & ~u == 0], u)
+        val = (1 << w) - 2 * int(np.count_nonzero(bits))
+        val = -val if w % 2 else val
     return CoverValue(val, two_adic_valuation(val))
 
 

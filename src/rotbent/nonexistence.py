@@ -156,7 +156,7 @@ def verify_witness(sanf, report):
     violates the bent condition v2 > |u0| - n/2.  H(u0) comes from the
     monomial list, cross-checked against the spectrum when n <= 20.  Raises
     `CapacityError` when no route reaches H(u0) (more than 24 monomials and
-    |u0| > 20).  Reports without witness fields, or with an all-ones u0,
+    |u0| > 22).  Reports without witness fields, or with an all-ones u0,
     are rejected as a precondition error.
     """
     if report.witness_u0 is None:
@@ -337,11 +337,9 @@ def check_gap_bounds(sanf, rule):
 
     Three conditions, tried in order on a homogeneous SANF of degree d >= 3
     (n >= 4): (i) the SANF is exactly x1...xd; (ii) it is exactly the
-    block/pair shape with the side condition (n-2)/4 > floor(n/d) (for
-    n = 1 mod d the bound sharpens to n/4, which only separates at inputs
-    the degree bound already removes); (iii) the max index gap satisfies
-    gap < (n/2-1)/floor(n/d).  No witnesses: these bounds come from a
-    different argument than the valuation rules.
+    block/pair shape with the side condition (n-2)/4 > floor(n/d); (iii) the
+    max index gap satisfies gap < (n/2-1)/floor(n/d).  No witnesses: these
+    bounds come from a different argument than the valuation rules.
     """
     n, d = sanf.n, sanf.homogeneous_degree  # the gate leaves n >= 2d >= 6
     floor_nd = n // d
@@ -355,7 +353,7 @@ def check_gap_bounds(sanf, rule):
     notes.append("(i) shape no")
 
     if set(sanf.reps) == {block, pair}:
-        side = n > 4 * floor_nd if n % d == 1 else n - 2 > 4 * floor_nd
+        side = n - 2 > 4 * floor_nd
         text = (
             f"side condition (n-2)/4 > floor(n/d) evaluates "
             f"{(n - 2) / 4:g} > {floor_nd}, {'true' if side else 'false'}"

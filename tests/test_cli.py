@@ -223,15 +223,17 @@ def test_hcoeff_single(capsys):
     assert (code, out) == (0, "value=-832 v2=6\n")
     code, out, _ = run(["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", u + "0000"], capsys)
     assert (code, out) == (0, "value=-832 v2=6\n")
-    # weight 21 takes the subset walk, capped at 24 monomials, and the
-    # spectrum behind it refuses n = 24 at the table cap: both reasons are named
+    # weight 21 is one table of 2^21 entries at any list size; weight 23 is
+    # past the table cap and the subset walk's 24 monomials: both are named
+    code, out, _ = run(["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", "1" * 21 + "000"], capsys)
+    assert (code, out) == (0, "value=-1920 v2=7\n")
     code, out, err = run(
-        ["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", "1" * 21 + "000"], capsys
+        ["hcoeff", "-n", "24", "x1x2x3+x1x2x4", "--u", "1" * 23 + "0"], capsys
     )
     assert (code, out) == (2, "")
     assert err == (
-        "error: the subset walk for |u| > 20 takes at most 24 monomials, got 48; "
-        "full 2^n tables are limited to n <= 22, got n=24\n"
+        "error: H(u) at |u| = 23: full 2^n tables are limited to n <= 22, got n=23; "
+        "the subset walk takes at most 24 monomials, got 48\n"
     )
 
 
@@ -349,21 +351,29 @@ def test_nonexist_json(capsys):
 
 
 def test_nonexist_marks_witnesses_beyond_numeric_reach(capsys):
-    # x1x2x3+x1x2x4 at n=24: 48 monomials, 2^24 inputs and |u0| = 21, so no
+    # x1x2x3+x1x2x4 at n=26: 52 monomials, 2^26 inputs and |u0| = 24, so no
     # cover route can recompute the block-pair witness and the rule declines
-    argv = ["nonexist", "-n", "24", "x1x2x3+x1x2x4"]
+    argv = ["nonexist", "-n", "26", "x1x2x3+x1x2x4"]
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 1
     pair = json.loads(out)["reports"]["block-pair"]
     assert pair["verdict"] == "INCONCLUSIVE"
-    assert pair["detail"] == "witness beyond numeric reach (k=7 chain of x1x2x3)"
+    assert pair["detail"] == "witness beyond numeric reach (k=8 chain of x1x2x3)"
     code, out, _ = run(argv, capsys)
     assert code == 1
     assert (
         "block-pair     INCONCLUSIVE rule=block-pair "
-        "(witness beyond numeric reach (k=7 chain of x1x2x3))"
+        "(witness beyond numeric reach (k=8 chain of x1x2x3))"
     ) in out.splitlines()
-    # at n=22 the witness has |u0| = 18: the lattice recomputes it from the
+    # at n=24 the witness has |u0| = 21: one table of 2^21 entries recomputes
+    # it from the 48 monomials, H(u0) = -1920 = -2^7 * 15
+    code, out, _ = run(["nonexist", "-n", "24", "x1x2x3+x1x2x4"], capsys)
+    assert code == 0
+    assert (
+        "block-pair     NOT_BENT rule=block-pair "
+        "u0=111111111111111111111000 k=7 v2=7 (k=7 chain of x1x2x3)"
+    ) in out.splitlines()
+    # at n=22 the witness has |u0| = 18: one table recomputes it from the
     # 44 monomials, H(u0) = -832 = -2^6 * 13
     code, out, _ = run(["nonexist", "-n", "22", "x1x2x3+x1x2x4"], capsys)
     assert (

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from rotbent import (
     enumerate_orbit_reps,
     is_bent,
     orbit_expand,
+    parse_sanf,
     sanf_truth_table,
     truth_table_from_anf,
     walsh_spectrum,
 )
-from rotbent import covercoef
+from rotbent import boolfn
 from rotbent.covercoef import (
     CAPACITY,
     CoverValue,
@@ -70,10 +72,9 @@ def test_direct_route_matches_naive(monkeypatch):
         n = rng.randint(1, 8)
         monos = random_monomials(rng, n)
         want = cover_naive(monos, n)
-        harr = all_cover_coefficients(monos, n)  # before the cap drops: it refuses n > cap
-        assert list(harr) == want == cover_folded(monos, n)
+        assert list(all_cover_coefficients(monos, n)) == want == cover_folded(monos, n)
         cases.append((monos, want))
-    # lists past the walk's 24-monomial cap, repeats included: the lattice
+    # lists past the walk's 24-monomial cap, repeats included: the table
     # takes any list size
     for _ in range(6):
         n = rng.randint(5, 8)
@@ -81,19 +82,46 @@ def test_direct_route_matches_naive(monkeypatch):
         want = cover_folded(monos, n)
         assert list(all_cover_coefficients(monos, n)) == want
         cases.append((monos, want))
-    # the second pass puts every nonzero u past the array cap, onto the pruned
-    # subset walk: the only route for |u| > 20, which refuses the long lists
-    for cap in (covercoef._ARRAY_N_MAX, 0):
-        monkeypatch.setattr(covercoef, "_ARRAY_N_MAX", cap)
+    # the second pass drops the table cap to 0, so every nonzero u falls to
+    # the pruned subset walk, which refuses the long lists
+    for cap in (boolfn._TABLE_N_MAX, 0):
+        monkeypatch.setattr(boolfn, "_TABLE_N_MAX", cap)
         for monos, want in cases:
-            for u, h in enumerate(want):
+            for u, h in enumerate(want):  # u = 0 and the all-ones mask included
                 if u and not cap and len(monos) > CAPACITY:
-                    with pytest.raises(CapacityError):
+                    with pytest.raises(CapacityError, match="the subset walk takes at most 24"):
                         cover_coefficient(monos, u)
                     continue
                 cv = cover_coefficient(monos, u)
                 assert cv.value == h
                 assert cv.valuation == two_adic_valuation(h)
+
+
+def test_weights_21_and_22_match_the_spectrum():
+    # x1x2x3+x1x2x4 at n = 22 expands to 44 monomials, past the walk's cap;
+    # one table of 2^|u| entries gives the values the spectrum gives
+    sanf = parse_sanf("x1x2x3+x1x2x4", 22)
+    monos = sorted(orbit_expand(sanf).monomials)
+    spec = walsh_spectrum(sanf_truth_table(sanf))
+    full = (1 << 22) - 1
+    for u in (full >> 1, full & ~(1 << 4), full ^ (1 << 21 | 1), full):
+        assert cover_coefficient(monos, u) == cover_coefficient_from_spectrum(spec, u)
+
+
+def test_past_both_caps_refuses_before_allocating():
+    monos = sorted(orbit_expand(parse_sanf("x1x2x3+x1x2x4", 24)).monomials)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            cover_coefficient(monos, (1 << 23) - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(exc.value) == (
+        "H(u) at |u| = 23: full 2^n tables are limited to n <= 22, got n=23; "
+        "the subset walk takes at most 24 monomials, got 48"
+    )
 
 
 def test_single_monomial():
@@ -156,10 +184,10 @@ def test_valuation_criterion_rejects_odd_n():
 
 
 def test_capacity_errors():
-    # the monomial cap bounds only the subset walk, which takes |u| > 20
+    # the monomial cap bounds only the subset walk, which takes |u| > 22
     monos = list(range(1, CAPACITY + 2))
     with pytest.raises(CapacityError):
-        cover_coefficient(monos, (1 << 21) - 1)
+        cover_coefficient(monos, (1 << 23) - 1)
     with pytest.raises(CapacityError):
         all_cover_coefficients([1], 21)
     with pytest.raises(CapacityError):
@@ -193,6 +221,9 @@ def test_repeated_monomials_count_modulo_two():
     assert np.array_equal(all_cover_coefficients(rest + [m] * 256, n), without)
     assert np.array_equal(all_cover_coefficients(rest + [m] * 257, n), once)
     assert np.array_equal(once, cover_naive(sorted(rest + [m]), n))
+    for u in range(1 << n):
+        assert cover_coefficient(rest + [m] * 256, u).value == without[u]
+        assert cover_coefficient(rest + [m] * 257, u).value == once[u]
 
 
 def test_transforms_return_int64():

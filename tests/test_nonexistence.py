@@ -20,9 +20,10 @@ from rotbent import (
     parse_sanf,
     sanf_truth_table,
     verify_witness,
+    walsh_spectrum,
 )
 from rotbent.cli import main
-from rotbent.covercoef import CoverValue
+from rotbent.covercoef import CoverValue, cover_coefficient_from_spectrum
 from rotbent.nonexistence import (
     check_block_pair,
     check_gap_bounds,
@@ -219,6 +220,26 @@ def test_gap_bounds_block_pair_fires_when_side_holds():
     assert "evaluates 3 > 2, true" in rep.detail
 
 
+def test_gap_bounds_side_condition_needs_no_sharper_form():
+    # the n/4 form once used for n = 1 mod d differs from (n-2)/4 only at
+    # inputs the gate settles first: d = 5 with n = 6 (degree bound), and odd n
+    differ = [
+        (n, d)
+        for n in range(6, 201, 2)
+        for d in range(3, n + 1)
+        if n % d == 1 and (n > 4 * (n // d)) != (n - 2 > 4 * (n // d))
+    ]
+    assert differ == [(6, 5)]
+    assert check_gap_bounds(parse_sanf("x1x2x3x4x5", 6)).rule == "degree-bound"
+    # where the rule runs (even n up to the Sanf cap of 30), (ii) fires
+    # exactly where the side condition holds
+    for n in range(6, 31, 2):
+        for d in range(3, n // 2 + 1):
+            if n % d == 1:
+                rep = check_gap_bounds(sanf_from_masks(nonexistence._block_and_pair(d), n))
+                assert (rep.rule == "gap-bounds(ii)") == (n - 2 > 4 * (n // d)), (n, d)
+
+
 def test_gap_bounds_small_gap():
     sanf = parse_sanf("x1x2x3x4x6", 16)
     rep = check_gap_bounds(sanf)
@@ -350,6 +371,20 @@ def test_witnesses_past_the_direct_cap_are_checked_by_both_routes(n, monkeypatch
     assert reports["block-pair"].verdict == NOT_BENT
     assert calls["witness"] >= 1
     assert calls["monomial"] == calls["spectrum"] == calls["witness"]
+
+
+def test_weight_21_witness_at_n22_is_released_and_matches_the_spectrum():
+    # x1x2x3+x1x3x8 expands to 44 monomials; its chain witness has |u0| = 21,
+    # one table of 2^21 entries, and the spectrum gives the same H(u0)
+    sanf = parse_sanf("x1x2x3+x1x3x8", 22)
+    reports = dict(all_checks(sanf))
+    u0 = (1 << 21) - 1
+    for name in ("shift-chain", "leading-block"):
+        rep = reports[name]
+        assert (rep.verdict, rep.witness_u0, rep.claimed_valuation) == (NOT_BENT, u0, 7)
+    tt = sanf_truth_table(sanf)
+    assert not is_bent(tt)
+    assert cover_coefficient_from_spectrum(walsh_spectrum(tt), u0) == CoverValue(-384, 7)
 
 
 def test_every_released_witness_recomputes_past_twenty_variables():

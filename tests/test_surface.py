@@ -169,11 +169,11 @@ def test_rules_share_one_skeleton():
 
 
 def test_one_cover_route_choice():
-    # covercoef.cover_coefficient alone picks between the lattice and the
-    # capped subset walk; no other module imports or reads the walk or its cap
-    # (search._walk is its own function, so only covercoef's names count)
+    # covercoef.cover_coefficient alone picks between the one restricted table
+    # and the capped subset walk; no other module imports or reads the walk or
+    # its cap (search._walk is its own function, so only covercoef's names count)
     private = {"CAPACITY", "_walk"}
-    sites = []
+    sites, spectrum_callers = [], []
     for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
         if path.name == "covercoef.py":
             continue
@@ -189,7 +189,24 @@ def test_one_cover_route_choice():
             else:
                 continue
             sites += [(path.name, m) for m in names if m in private]
+        spectrum_callers += [
+            path.name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "cover_coefficient_from_spectrum"
+        ]
     assert sites == []
+    # a single H(u) reaches the spectrum only as the witness cross-check
+    assert spectrum_callers == ["nonexistence.py"]
+    # one H(u) is one restricted table, never the full coefficient array
+    tree = ast.parse((ROOT / "src" / "rotbent" / "covercoef.py").read_text(encoding="utf-8"))
+    body = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "cover_coefficient"
+    )
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert not names & {"_ARRAY_N_MAX", "all_cover_coefficients"}
 
 
 def test_one_table_cap():
