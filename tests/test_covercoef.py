@@ -104,7 +104,7 @@ def test_weights_21_and_22_match_the_spectrum():
     monos = sorted(orbit_expand(sanf).monomials)
     spec = walsh_spectrum(sanf_truth_table(sanf))
     full = (1 << 22) - 1
-    for u in (full >> 1, full & ~(1 << 4), full ^ (1 << 21 | 1), full):
+    for u in (full >> 1, full & ~(1 << 4), full & ~(1 << 10), full):
         assert cover_coefficient(monos, u) == cover_coefficient_from_spectrum(spec, u)
 
 
