@@ -4,7 +4,8 @@ A degree-d candidate space on n variables is the set of nonempty subsets of
 the weight-d orbit representatives, walked in Gray-code order in numpy
 blocks.  A rotation-symmetric function is constant on input rotation orbits,
 so a candidate's table is one bit per orbit (orbit bits).  The W(0) weight
-filter, then a sieve of exact W(c) at a few inputs c, then the full spectral
+filter, then a sieve of exact W(c) at a few inputs c (one input at a time,
+each candidate dropped at its first failing one), then the full spectral
 test pick the hits; that test runs on the table rebuilt from the SANF, after
 checking it against the orbit bits.
 
@@ -182,6 +183,7 @@ class _OrbitTables:
         for c in _rotations(self.coords, n):  # <rot(c), x> = <c, rot^-1(x)>
             odd += np.bitwise_count(c[:, None] & members) & 1
         self.sieve = (n - 2 * odd) * sizes // n
+        self.sums = self.sieve.sum(axis=1)
         reps = np.array(reps, dtype=np.int64)
         count = np.zeros((len(reps), self.g), dtype=np.uint8)
         mult = np.zeros(len(reps), dtype=np.uint8)
@@ -193,7 +195,7 @@ class _OrbitTables:
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
             low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
-        arrays = [members, self.coords, self.sieve, self.tables, low]
+        arrays = [members, self.coords, self.sieve, self.sums, self.tables, low]
         for a in arrays + [cls for _, cls in self.classes]:  # shared by every search of the layer
             a.setflags(write=False)
 
@@ -202,14 +204,21 @@ class _OrbitTables:
         pops = ((s, np.bitwise_count(rows & cls)) for s, cls in self.classes)
         return sum(s * np.add.reduce(p, axis=0, dtype=np.int64) for s, p in pops)
 
-    def sieve_spectrum(self, rows):
-        """0/1 orbit bits of packed tables (words on axis 0) and their W at `coords`."""
+    def sieve_pass(self, rows):
+        """0/1 orbit bits of packed tables (words on axis 0), and whether each
+        table's |W(c)| is 2^(n/2) at every c in `coords`, tested one c at a time
+        on the tables still alive."""
         bits = np.unpackbits(rows.T.copy().view(np.uint8), -1, self.g, "little")
-        prod = np.empty((len(bits), _SIEVE), dtype=np.int64)
+        passed = np.zeros(len(bits), dtype=bool)
         step = max(1, (1 << 17) // self.g)  # int64 casts of at most 1 MiB at once
         for i in range(0, len(bits), step):
-            np.matmul(bits[i : i + step], self.sieve.T, out=prod[i : i + step])
-        return bits, self.sieve.sum(axis=1) - 2 * prod
+            alive = np.arange(i, min(i + step, len(bits)))
+            for total, row in zip(self.sums.tolist(), self.sieve):
+                alive = alive[np.abs(total - 2 * (bits[alive] @ row)) == self.bent]
+                if not alive.size:  # most tables fail at the first c
+                    break
+            passed[alive] = True
+        return bits, passed
 
 
 _layer = None  # (n, reps, _OrbitTables) of the layer searched last
@@ -239,17 +248,17 @@ def _walk(orb, lo, hi, stats):
         rows = orb.low[:, start : hi - j0] ^ np.bitwise_xor.reduce(picked)[:, None]
         keep = np.flatnonzero(np.abs((1 << n) - 2 * orb.weight(rows)) == orb.bent)
         t1 = clock()
-        bits, values = orb.sieve_spectrum(rows[:, keep])
-        passed = np.all(np.abs(values) == orb.bent, axis=1)
-        subsets = [base ^ off ^ (off >> 1) for off in (keep + start).tolist()]
+        bits, passed = orb.sieve_pass(rows[:, keep])
         tested, retest = np.flatnonzero(passed), np.flatnonzero(~passed)[:left]
         left -= retest.size
         t2 = clock()
         for i in np.concatenate((tested, retest)).tolist():
-            sanf = _confirm_bent(orb, subsets[i], bits[i])
+            off = int(keep[i]) + start
+            subset = base ^ off ^ (off >> 1)
+            sanf = _confirm_bent(orb, subset, bits[i])
             if sanf and not passed[i]:
                 raise InternalInconsistencyError(f"sieve rejected bent {format_sanf(sanf)}")
-            hits += [(subsets[i], sanf)] if sanf else []
+            hits += [(subset, sanf)] if sanf else []
         m = tested.size
         stats.update(weight_survivors=keep.size, sieve_survivors=m, spectral_tests=m + retest.size)
         stats.update(walk_s=t1 - t0, sieve_s=t2 - t1, confirm_s=clock() - t2)
@@ -268,11 +277,12 @@ def exhaustive_search(task, checkpoint_path=None):
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages;
     `tables_s` covers the whole per-layer setup, representatives included.
-    The orbit tables are built once per layer per process and kept until
-    another layer is searched (about 30 MiB at n = 20 d = 3, 110 MiB at
-    n = 22 d = 3), so a warm call's `tables_s` reads only the representatives
-    and the lookup.  Only repeated searches of one layer in one process gain:
-    a CLI run makes one call.
+    The representatives (memoised in `rotsym`) and the orbit tables are built
+    once per layer per process; the tables are kept until another layer is
+    searched (about 30 MiB at n = 20 d = 3, 110 MiB at n = 22 d = 3), so a
+    warm call's `tables_s` is the Burnside recount, a copy of the memoised
+    representatives and the lookup.  Only repeated searches of one layer in
+    one process gain: a CLI run makes one call.
     """
     n, started = task.n, time.perf_counter()
     lo, hi = _shard_range(task, orbit_count(n, task.d))

@@ -72,6 +72,29 @@ def test_enumeration_that_misses_the_burnside_count_is_an_inconsistency(monkeypa
         enumerate_orbit_reps(10, 4)
 
 
+def test_each_enumeration_is_a_fresh_list():
+    first = enumerate_orbit_reps(10, 4)
+    want = list(first)
+    first[0] = 0
+    first.append(1)
+    second = enumerate_orbit_reps(10, 4)
+    assert second == want and second is not first
+    second.clear()
+    assert enumerate_orbit_reps(10, 4) == want
+
+
+def test_enumeration_validates_on_a_warm_memo():
+    enumerate_orbit_reps(10, 4)
+    hits = rotsym._orbit_reps.cache_info().hits
+    enumerate_orbit_reps(10, 4)
+    assert rotsym._orbit_reps.cache_info().hits == hits + 1
+    for n, w in ((10, 0), (10, 11), (10, -4), (0, 1), (31, 4), ("10", 4), (10.0, 4)):
+        for _ in range(2):  # a refusal is never cached
+            with pytest.raises(ValueError):
+                enumerate_orbit_reps(n, w)
+    assert rotsym._orbit_reps.cache_info().hits == hits + 1
+
+
 def test_enumerate_orbit_reps():
     for n in range(2, 13):
         for w in range(1, n + 1):
@@ -164,7 +187,7 @@ def test_every_rotsym_cache_is_bounded():
         for name, fn in vars(rotsym).items()
         if callable(getattr(fn, "cache_info", None))
     }
-    assert {"_canonical_rep", "positions"} <= set(caches)
+    assert {"_canonical_rep", "positions", "_orbit_reps"} <= set(caches)
     assert all(info.maxsize is not None for info in caches.values())
     # a layer's enumeration would fill the memo with non-canonical masks
     rotsym._canonical_rep.cache_clear()

@@ -118,9 +118,10 @@ def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
     orb = seen[0]
     assert all(o is orb for o in seen) and len(seen) == 3
     assert builds == [(10, None)]
-    arrays = [orb.members, orb.coords, orb.sieve, orb.tables, orb.low]
+    arrays = [orb.members, orb.coords, orb.sieve, orb.sums, orb.tables, orb.low]
     arrays += [cls for _, cls in orb.classes]
-    assert len(arrays) >= 6
+    assert len(arrays) >= 7
+    assert np.array_equal(orb.sums, orb.sieve.sum(axis=1))
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -179,10 +180,14 @@ def test_search_stats():
     stats = res.stats
     assert list(stats) == list(search._STATS)
     assert stats["candidates"] == res.candidates == (1 << 19) - 1
-    assert stats["weight_survivors"] == 32878
     assert 0 <= stats["hits"] <= stats["sieve_survivors"] < stats["weight_survivors"]
     # one re-tested sieve negative per chunk of 2^20 indices on top
     assert stats["spectral_tests"] == stats["sieve_survivors"] + 1
+    # whole-layer W(0) survivors, sieve survivors and spectral tests, pinned
+    pinned = ("weight_survivors", "sieve_survivors", "spectral_tests", "hits")
+    other = exhaustive_search(SearchTask(10, 4)).stats
+    assert [stats[k] for k in pinned] == [32878, 27, 28, 0]
+    assert [other[k] for k in pinned] == [78116, 0, 4, 0]
     assert all(stats[k] >= 0.0 for k in ("tables_s", "walk_s", "sieve_s", "confirm_s"))
     # counters and timings are not part of a result's identity
     assert exhaustive_search(SearchTask(8, 2)) == exhaustive_search(SearchTask(8, 2))
@@ -191,13 +196,13 @@ def test_search_stats():
 def test_sieve_negative_that_is_bent_is_an_inconsistency(monkeypatch):
     # A sieve that rejects everything rejects bent functions too; the
     # per-chunk re-test from the SANF must catch it.
-    real = search._OrbitTables.sieve_spectrum
+    real = search._OrbitTables.sieve_pass
 
     def reject_all(self, rows):
-        bits, values = real(self, rows)
-        return bits, np.zeros_like(values)
+        bits, passed = real(self, rows)
+        return bits, np.zeros_like(passed)
 
-    monkeypatch.setattr(search._OrbitTables, "sieve_spectrum", reject_all)
+    monkeypatch.setattr(search._OrbitTables, "sieve_pass", reject_all)
     with pytest.raises(InternalInconsistencyError, match="sieve rejected bent"):
         exhaustive_search(SearchTask(8, 2))
     assert main(["search", "-n", "8", "-d", "2"]) == 3
@@ -239,15 +244,15 @@ def test_a_rebuilt_table_flipped_off_the_orbit_members_is_an_inconsistency(monke
 def test_a_sieve_negative_with_corrupted_orbit_bits_is_an_inconsistency(monkeypatch):
     # n = 12 d = 3 has W(0) survivors and no bent function: a bentness-only
     # re-test of the first sieve negative would pass, the table check must not
-    real = search._OrbitTables.sieve_spectrum
+    real = search._OrbitTables.sieve_pass
 
     def corrupt_and_reject(self, rows):
-        bits, values = real(self, rows)
+        bits, passed = real(self, rows)
         bits = bits.copy()
         bits[:, 0] ^= 1
-        return bits, np.zeros_like(values)
+        return bits, np.zeros_like(passed)
 
-    monkeypatch.setattr(search._OrbitTables, "sieve_spectrum", corrupt_and_reject)
+    monkeypatch.setattr(search._OrbitTables, "sieve_pass", corrupt_and_reject)
     with pytest.raises(InternalInconsistencyError, match="orbit bits disagree"):
         exhaustive_search(SearchTask(12, 3))
     assert main(["search", "-n", "12", "-d", "3"]) == 3
@@ -270,10 +275,48 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     tt = sanf_truth_table(sanf)
     orb = search._OrbitTables(n, sanf.reps)
     row = np.bitwise_xor.reduce(orb.tables, axis=0)
-    bits, values = orb.sieve_spectrum(row[:, None])
+    bits, passed = orb.sieve_pass(row[:, None])
     assert np.array_equal(bits[0], tt.bits[orb.members]) and is_rotation_symmetric(tt)
     assert orb.weight(row[:, None])[0] == tt.weight
-    assert np.array_equal(values[0], walsh_spectrum(tt).values[orb.coords])
+    want = walsh_spectrum(tt).values[orb.coords]
+    assert np.array_equal(_sieve_values(orb, bits)[0], want)
+    assert passed.tolist() == [bool(np.all(np.abs(want) == 1 << (n // 2)))]
+
+
+def _sieve_values(orb, bits):
+    """W at `coords` of every row of orbit bits, all coordinates at once."""
+    return orb.sums - 2 * (bits.astype(np.int64) @ orb.sieve.T)
+
+
+def _block_rows(orb, j0):
+    """Packed tables of the Gray block starting at subset index j0, as `_walk` builds them."""
+    base = j0 ^ (j0 >> 1)
+    picked = orb.tables[[i for i in range(base.bit_length()) if base >> i & 1]]
+    return orb.low ^ np.bitwise_xor.reduce(picked)[:, None]
+
+
+@pytest.mark.parametrize(
+    "n, d, blocks, passing", [(8, 2, None, 8), (10, 4, 24, 0), (12, 3, None, 27)]
+)
+def test_early_exit_sieve_flags_equal_the_all_coordinates_test(n, d, blocks, passing):
+    # the W(0) survivors of every block of n=8 d=2 and n=12 d=3 and of random
+    # blocks of n=10 d=4, row for row; every 8th block also whole, which
+    # spans several 1 MiB steps and mostly fails at the first coordinate
+    orb = search._OrbitTables(n, enumerate_orbit_reps(n, d))
+    total = 1 << (len(orb.reps) - orb.k)
+    rng = np.random.default_rng(n)
+    starts = range(total) if blocks is None else rng.choice(total, blocks, replace=False)
+    flagged = 0
+    for b in map(int, starts):
+        rows = _block_rows(orb, b << orb.k)
+        keep = np.flatnonzero(np.abs((1 << n) - 2 * orb.weight(rows)) == orb.bent)
+        for part in (rows, rows[:, keep])[b % 8 > 0 :]:
+            bits, passed = orb.sieve_pass(part)
+            assert passed.dtype == bool and passed.shape == (part.shape[1],)
+            want = np.all(np.abs(_sieve_values(orb, bits)) == orb.bent, axis=1)
+            assert np.array_equal(passed, want), (n, d, b)
+        flagged += int(passed.sum())
+    assert flagged == passing  # n=10 d=4 has no sieve survivor anywhere
 
 
 def _unpack(row, g):
