@@ -3,11 +3,11 @@
 A degree-d candidate space on n variables is the set of nonempty subsets of
 the weight-d orbit representatives, walked in Gray-code order in numpy
 blocks.  A rotation-symmetric function is constant on input rotation orbits,
-so a candidate's table is one bit per orbit (orbit bits).  The W(0) weight
-filter, then a sieve of exact W(c) at a few inputs c (one input at a time,
-each candidate dropped at its first failing one), then the full spectral
-test pick the hits; that test runs on the table rebuilt from the SANF, after
-checking it against the orbit bits.
+so a candidate's table is one bit per orbit of size n and one per input of a
+smaller orbit (slot bits).  The W(0) weight filter, then a sieve of exact W(c)
+at a few inputs c (one input at a time, each candidate dropped at its first
+failing one), then the full spectral test pick the hits; that test runs on
+the table rebuilt from the SANF, after checking it against the slot bits.
 
 Spaces over `BUDGET` (2^24) candidates must be split into shards
 (contiguous Gray-index ranges that partition the space) or explicitly
@@ -19,13 +19,13 @@ Checkpoint lines, `--out` and `--format json` all write its `as_dict()`.
 `bent_verdict` compares every bentness route on one SANF.
 """
 
-import collections
 import contextlib
 import functools
 import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,71 +141,69 @@ def _append_checkpoint(path, result):
 
 def _confirm_bent(orb, subset, bits):
     """The Sanf of a candidate if bent, else None; the table rebuilt from the SANF
-    must be rotation-symmetric and equal orbit `bits` at `orb.members`."""
+    must be rotation-symmetric and equal slot `bits` at `orb.slots`."""
     sanf = _subset_sanf(orb.n, orb.reps, subset)
     tt = sanf_truth_table(sanf)
-    if not (np.array_equal(tt.bits[orb.members], bits) and is_rotation_symmetric(tt)):
+    if not (np.array_equal(tt.bits[orb.slots], bits) and is_rotation_symmetric(tt)):
         raise InternalInconsistencyError(
             f"orbit bits disagree with the table of {format_sanf(sanf)}"
         )
     return sanf if is_bent(tt) else None
 
 
-def _pack(bits):
-    """0/1 entries along the last axis -> little-endian uint64 words."""
-    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 64,), bits.dtype)
-    padded[..., : bits.shape[-1]] = bits  # np.pad costs more than the packing here
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
-
-
 class _OrbitTables:
-    """A layer's orbit-sized tables: single-orbit tables on orbit bits, sieve rows.
+    """A layer's orbit-sized tables: single-orbit tables on slot bits, sieve rows.
 
-    `members` lists each input orbit's least input x.  Row r of `tables` packs
-    representative r's function at each x into uint64 words: the parity of the
-    distinct rotations m of r with m & x == m.  Column j of `low` (words on axis 0)
-    XORs the first k rows that the Gray code j ^ (j >> 1) picks.  With sieve rows
-    M[c, i] = sum over x in orbit i of (-1)^<c,x>, W(c) = M[c] . (1 - 2 bits).
-    Both are built one rotation at a time on 2-D (rows x orbits) arrays.
+    `slots` holds each aperiodic orbit's least input (standing for its n inputs),
+    zero pads to word `wf` (for none), then each periodic input (for itself), so
+    a weight is n * popcount(words < wf) + popcount(words >= wf).  Row r of
+    `tables` packs representative r at each slot x into uint64 words: the parity
+    of the distinct rotations m of r with m & x == m.  Column j of `low` (words on
+    axis 0) XORs the first k rows that the Gray code j ^ (j >> 1) picks.  With sieve
+    rows M[c, i] = sum over the inputs y of slot i of (-1)^<c,y>, W(c) = M[c] . (1 - 2 bits).
+    Both are built one rotation at a time on 2-D (rows x slots) arrays.
     """
 
     def __init__(self, n, reps):
         x = np.arange(1 << n, dtype=np.uint32)  # n <= 30
         least = functools.reduce(np.minimum, _rotations(x, n))
-        members = self.members = np.flatnonzero(least == x)
+        members = np.flatnonzero(least == x)
         sizes = np.bincount(least)[members]
         del x, least  # 2^n-entry temporaries, freed before the tables are built
-        self.n, self.g, self.reps = n, len(members), reps
-        self.classes = [(s, _pack(sizes == s)[:, None]) for s in set(sizes.tolist())]
         self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
-        self.coords = members[np.linspace(1, self.g - 1, _SIEVE).astype(np.int64)]
-        odd = np.zeros((_SIEVE, self.g), dtype=np.int64)
-        for c in _rotations(self.coords, n):  # <rot(c), x> = <c, rot^-1(x)>
-            odd += np.bitwise_count(c[:, None] & members) & 1
-        self.sieve = (n - 2 * odd) * sizes // n
+        self.coords = members[np.linspace(1, len(members) - 1, _SIEVE).astype(np.int64)]
+        full, short, span = members[sizes == n], members[sizes < n], sizes[sizes < n]
+        rots = [m[l < span] for l, m in enumerate(_rotations(short, n))]  # each input once
+        pad, periodic = -len(full) % 64, np.sort(np.concatenate(rots))
+        slots = self.slots = np.concatenate((full, np.zeros(pad, full.dtype), periodic))
+        cover = np.repeat([n, 0, 1], [len(full), pad, len(periodic)])  # inputs a slot stands for
+        self.n, self.g, self.wf, self.reps = n, len(slots), (len(full) + pad) // 64, reps
+        self.sieve = np.tile(cover, (_SIEVE, 1))
+        for l, c in enumerate(_rotations(self.coords, n)):  # <rot(c), x> = <c, rot^-1(x)>
+            self.sieve -= 2 * (np.bitwise_count(c[:, None] & slots) & 1 & (l < cover))
         self.sums = self.sieve.sum(axis=1)
         reps = np.array(reps, dtype=np.int64)
-        count = np.zeros((len(reps), self.g), dtype=np.uint8)
+        count = np.zeros((len(reps), -(-self.g // 64) * 64), dtype=np.uint8)  # whole words
         mult = np.zeros(len(reps), dtype=np.uint8)
         for m in _rotations(reps, n):  # each distinct rotation comes up mult times
-            count += (m[:, None] & members) == m[:, None]
+            count[:, : self.g] += (m[:, None] & slots) == m[:, None]
             mult += m == reps
-        self.tables = _pack(count // mult[:, None] & 1)
+        self.tables = np.packbits(count // mult[:, None] & 1, -1, bitorder="little").view("<u8")
         self.k = min(len(reps), _BLOCK_BITS)
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
             low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
-        arrays = [members, self.coords, self.sieve, self.sums, self.tables, low]
-        for a in arrays + [cls for _, cls in self.classes]:  # shared by every search of the layer
-            a.setflags(write=False)
+        for a in (slots, self.coords, self.sieve, self.sums, self.tables, low):
+            a.setflags(write=False)  # shared by every search of the layer
 
     def weight(self, rows):
-        """Table weight of each packed table (words on axis 0)."""
-        pops = ((s, np.bitwise_count(rows & cls)) for s, cls in self.classes)
-        return sum(s * np.add.reduce(p, axis=0, dtype=np.int64) for s, p in pops)
+        """Table weight of each packed table (words on axis 0); int32 holds 2^22."""
+        pops = np.bitwise_count(rows)
+        full = np.add.reduce(pops[: self.wf], axis=0, dtype=np.int32)
+        return self.n * full + np.add.reduce(pops[self.wf :], axis=0, dtype=np.int32)
 
     def sieve_pass(self, rows):
-        """0/1 orbit bits of packed tables (words on axis 0), and whether each
+        """0/1 slot bits of packed tables (words on axis 0), and whether each
         table's |W(c)| is 2^(n/2) at every c in `coords`, tested one c at a time
         on the tables still alive."""
         bits = np.unpackbits(rows.T.copy().view(np.uint8), -1, self.g, "little")
@@ -248,6 +246,9 @@ def _walk(orb, lo, hi, stats):
         rows = orb.low[:, start : hi - j0] ^ np.bitwise_xor.reduce(picked)[:, None]
         keep = np.flatnonzero(np.abs((1 << n) - 2 * orb.weight(rows)) == orb.bent)
         t1 = clock()
+        stats.update(walk_s=t1 - t0, weight_survivors=keep.size)
+        if not keep.size:  # nothing to sieve or re-test
+            continue
         bits, passed = orb.sieve_pass(rows[:, keep])
         tested, retest = np.flatnonzero(passed), np.flatnonzero(~passed)[:left]
         left -= retest.size
@@ -259,9 +260,8 @@ def _walk(orb, lo, hi, stats):
             if sanf and not passed[i]:
                 raise InternalInconsistencyError(f"sieve rejected bent {format_sanf(sanf)}")
             hits += [(subset, sanf)] if sanf else []
-        m = tested.size
-        stats.update(weight_survivors=keep.size, sieve_survivors=m, spectral_tests=m + retest.size)
-        stats.update(walk_s=t1 - t0, sieve_s=t2 - t1, confirm_s=clock() - t2)
+        stats.update(sieve_survivors=tested.size, spectral_tests=tested.size + retest.size)
+        stats.update(sieve_s=t2 - t1, confirm_s=clock() - t2)
     return hits
 
 
@@ -279,7 +279,7 @@ def exhaustive_search(task, checkpoint_path=None):
     `tables_s` covers the whole per-layer setup, representatives included.
     The representatives (memoised in `rotsym`) and the orbit tables are built
     once per layer per process; the tables are kept until another layer is
-    searched (about 30 MiB at n = 20 d = 3, 110 MiB at n = 22 d = 3), so a
+    searched (about 30 MiB at n = 20 d = 3, 109 MiB at n = 22 d = 3), so a
     warm call's `tables_s` is the Burnside recount, a copy of the memoised
     representatives and the lookup.  Only repeated searches of one layer in
     one process gain: a CLI run makes one call.
@@ -296,7 +296,7 @@ def exhaustive_search(task, checkpoint_path=None):
     _check_table_n(n)
     reps = enumerate_orbit_reps(n, task.d)
 
-    stats = collections.Counter(dict.fromkeys(_STATS, 0))  # update() adds
+    stats = Counter({k: 0.0 if k.endswith("_s") else 0 for k in _STATS})  # update() adds
     orb = _layer_tables(n, tuple(reps))
     stats.update(tables_s=time.perf_counter() - started)
     hits = []

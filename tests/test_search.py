@@ -118,9 +118,9 @@ def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
     orb = seen[0]
     assert all(o is orb for o in seen) and len(seen) == 3
     assert builds == [(10, None)]
-    arrays = [orb.members, orb.coords, orb.sieve, orb.sums, orb.tables, orb.low]
-    arrays += [cls for _, cls in orb.classes]
-    assert len(arrays) >= 7
+    arrays = [orb.slots, orb.coords, orb.sieve, orb.sums, orb.tables, orb.low]
+    held = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
+    assert {id(a) for a in held} == {id(a) for a in arrays}  # every array the layer holds
     assert np.array_equal(orb.sums, orb.sieve.sum(axis=1))
     for a in arrays:
         assert not a.flags.writeable
@@ -175,6 +175,26 @@ def test_another_layer_replaces_the_held_tables_after_dropping_them(monkeypatch)
     assert search._layer_tables(10, reps) is orb and len(builds) == 2
 
 
+def test_the_benchmark_shard_record_is_pinned():
+    # one of the 16 shards of the search-n10-d4 benchmark round, timings masked
+    assert _record(exhaustive_search(SearchTask(10, 4, shard=(13, 256)))) == {
+        "n": 10,
+        "d": 4,
+        "shard": [13, 256],
+        "range": [212992, 229376],
+        "candidates_tested": 16384,
+        "bent": [],
+        "stats": {
+            "candidates": 16384,
+            "weight_survivors": 676,
+            "sieve_survivors": 0,
+            "spectral_tests": 1,
+            "hits": 0,
+        },
+        "params_hash": "e866e552f013d574",
+    }
+
+
 def test_search_stats():
     res = exhaustive_search(SearchTask(12, 3))
     stats = res.stats
@@ -225,8 +245,8 @@ def test_orbit_bits_that_disagree_with_the_sanf_table_are_an_inconsistency(monke
 
 
 def test_a_rebuilt_table_flipped_off_the_orbit_members_is_an_inconsistency(monkeypatch):
-    # x = 2 is not its orbit's least member (1 is): the members agree with the
-    # orbit bits, and only the rotation-symmetry check sees the flip
+    # x = 2 is not a slot (its orbit is aperiodic, and 1 is its least input): the
+    # slots agree with the orbit bits, and only the rotation-symmetry check sees the flip
     real = search.sanf_truth_table
 
     def flipped(sanf):
@@ -234,7 +254,7 @@ def test_a_rebuilt_table_flipped_off_the_orbit_members_is_an_inconsistency(monke
         bits[2] ^= 1
         return TruthTable(sanf.n, bits)
 
-    assert min(orbit_masks(2, 8)) == 1
+    assert min(orbit_masks(2, 8)) == 1 and len(orbit_masks(2, 8)) == 8
     monkeypatch.setattr(search, "sanf_truth_table", flipped)
     with pytest.raises(InternalInconsistencyError, match="orbit bits disagree"):
         exhaustive_search(SearchTask(8, 2))
@@ -276,7 +296,7 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     orb = search._OrbitTables(n, sanf.reps)
     row = np.bitwise_xor.reduce(orb.tables, axis=0)
     bits, passed = orb.sieve_pass(row[:, None])
-    assert np.array_equal(bits[0], tt.bits[orb.members]) and is_rotation_symmetric(tt)
+    assert np.array_equal(bits[0], tt.bits[orb.slots]) and is_rotation_symmetric(tt)
     assert orb.weight(row[:, None])[0] == tt.weight
     want = walsh_spectrum(tt).values[orb.coords]
     assert np.array_equal(_sieve_values(orb, bits)[0], want)
@@ -323,10 +343,12 @@ def _unpack(row, g):
     return np.unpackbits(row.view(np.uint8), count=g, bitorder="little")
 
 
-@pytest.mark.parametrize("n, d", [(10, 4), (10, 5), (12, 3), (14, 3)])
+@pytest.mark.parametrize(
+    "n, d", [(1, 1), (2, 1), (3, 2), (4, 2), (7, 3), (9, 3), (10, 4), (10, 5), (12, 3), (14, 3)]
+)
 def test_single_orbit_tables_match_the_butterfly_route(n, d):
     # every row against its representative's table expanded from the ANF, read
-    # at each orbit's least input; a rotation-symmetric table is fixed by those
+    # at each slot input; a rotation-symmetric table is fixed by those
     reps = enumerate_orbit_reps(n, d)
     orb = search._OrbitTables(n, reps)
     assert len(orb.tables) == len(reps)
@@ -334,22 +356,52 @@ def test_single_orbit_tables_match_the_butterfly_route(n, d):
         sanf = Sanf(n, (rep,))
         tt = sanf_truth_table(sanf)
         assert is_rotation_symmetric(tt)
-        assert np.array_equal(_unpack(row, orb.g), tt.bits[orb.members]), format_sanf(sanf)
-    if n <= 12:  # members and orbit sizes against brute-force least rotations
-        least = [min(rotate(x, l, n) for l in range(n)) for x in range(1 << n)]
-        sizes = Counter(least)
-        assert orb.members.tolist() == sorted(sizes)
-        got = np.zeros(orb.g, dtype=np.int64)
-        for s, cls in orb.classes:
-            got += s * _unpack(cls[:, 0], orb.g)
-        assert got.tolist() == [sizes[x] for x in sorted(sizes)]
+        assert np.array_equal(_unpack(row, orb.g), tt.bits[orb.slots]), format_sanf(sanf)
+    if n <= 12:  # slots, their multiplicities and the sieve against brute force
+        _check_slots(orb)
+
+
+def _check_slots(orb):
+    """Against brute-force least rotations: every aperiodic orbit's least input once,
+    pads of input 0 up to word wf, every periodic input once; each slot standing for
+    its orbit's n inputs, none, or itself covers every input once; coords and the
+    sieve rows are those of the sorted least members."""
+    n, wf = orb.n, orb.wf
+    least = [min(rotate(x, l, n) for l in range(n)) for x in range(1 << n)]
+    sizes = Counter(least)
+    full = [x for x in sorted(sizes) if sizes[x] == n]
+    periodic = [x for x in range(1 << n) if sizes[least[x]] < n]
+    assert wf == -(-len(full) // 64) and orb.g == 64 * wf + len(periodic)
+    assert orb.slots.tolist() == full + [0] * (64 * wf - len(full)) + periodic
+    stands = [[rotate(x, l, n) for l in range(n)] for x in full]
+    stands += [[]] * (64 * wf - len(full)) + [[x] for x in periodic]
+    assert sum(map(len, stands)) == 1 << n
+    assert sorted(y for ys in stands for y in ys) == list(range(1 << n))
+    members = sorted(sizes)
+    picks = np.linspace(1, len(members) - 1, search._SIEVE).astype(np.int64)
+    assert orb.coords.tolist() == [members[i] for i in picks]
+    for c, row in zip(orb.coords.tolist(), orb.sieve):
+        want = [sum(1 - 2 * (bin(c & y).count("1") & 1) for y in ys) for ys in stands]
+        assert row.tolist() == want, (n, c)
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (8, 3), (10, 3)])
+def test_every_block_weight_is_the_weight_of_the_rebuilt_table(n, d):
+    # candidate by candidate over a whole layer: the 0 and 1^n inputs are
+    # periodic slots, and a pad bit set anywhere would add n to a weight
+    orb = search._OrbitTables(n, enumerate_orbit_reps(n, d))
+    total = 1 << len(orb.reps)
+    for j0 in range(0, total, 1 << orb.k):
+        weights = orb.weight(_block_rows(orb, j0)).tolist()
+        for j in range(max(j0, 1), j0 + (1 << orb.k)):
+            tt = sanf_truth_table(search._subset_sanf(n, orb.reps, j ^ (j >> 1)))
+            assert weights[j - j0] == tt.weight, (n, d, j)
 
 
 def test_orbit_tables_keep_no_input_sized_array():
     # the build scans all 2^n inputs, but what it keeps is orbit-sized
     orb = search._OrbitTables(16, enumerate_orbit_reps(16, 3))
     arrays = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
-    arrays += [cls for _, cls in orb.classes]
     assert len(arrays) >= 6
     assert max(max(a.shape) for a in arrays) < 1 << 16
 
