@@ -2,11 +2,13 @@
 
 A degree-d candidate space on n variables is the set of nonempty subsets of
 the weight-d orbit representatives, walked in Gray-code order in numpy
-blocks.  A rotation-symmetric function is constant on input rotation orbits,
+blocks of at least 2^12 candidates, wider while a block's tables fit in 2^16
+words.  A rotation-symmetric function is constant on input rotation orbits,
 so a candidate's table is one bit per orbit of size n and one per input of a
 smaller orbit (slot bits).  The W(0) weight filter, then a sieve of exact W(c)
 at a few inputs c (one input at a time, each candidate dropped at its first
-failing one), then the full spectral test pick the hits; that test runs on
+failing one; popcounts of the packed slot words against bit planes of the
+sieve rows), then the full spectral test pick the hits; that test runs on
 the table rebuilt from the SANF, after checking it against the slot bits.
 
 Spaces over `BUDGET` (2^24) candidates must be split into shards
@@ -49,7 +51,8 @@ from .walsh import is_bent
 
 BUDGET = 1 << 24  # largest candidate count of a call not marked long-running
 _CHUNK = 1 << 20
-_BLOCK_BITS = 12  # a numpy block walks 2^12 Gray indices
+_BLOCK_BITS = 12  # a numpy block walks at least 2^12 Gray indices,
+_BLOCK_WORDS = 1 << 16  # and more while its `low` columns stay within 2^16 words
 _SIEVE = 8  # input orbits at which W(c) of every W(0) survivor is checked
 _STATS = ("candidates", "weight_survivors", "sieve_survivors", "spectral_tests", "hits")
 _STATS += ("tables_s", "walk_s", "sieve_s", "confirm_s")
@@ -160,8 +163,12 @@ class _OrbitTables:
     `tables` packs representative r at each slot x into uint64 words: the parity
     of the distinct rotations m of r with m & x == m.  Column j of `low` (words on
     axis 0) XORs the first k rows that the Gray code j ^ (j >> 1) picks.  With sieve
-    rows M[c, i] = sum over the inputs y of slot i of (-1)^<c,y>, W(c) = M[c] . (1 - 2 bits).
-    Both are built one rotation at a time on 2-D (rows x slots) arrays.
+    rows M[c, i] = sum over the inputs y of slot i of (-1)^<c,y>, W(c) = M[c] . (1 - 2 bits);
+    `planes[c, b]` packs bit b of M[c] + n (in [0, 2n]) in the word layout of `tables`,
+    the one form of M kept.  Both are built one rotation at a time on 2-D (rows x slots)
+    arrays.  Blocks are 2^k columns: as many as keep `low` within `_BLOCK_WORDS` words,
+    at least 2^_BLOCK_BITS and at most 2^len(reps) (k = 14 at n = 10 d = 4, 13 at
+    n = 12 d = 3, 12 on every layer of more than 16 words, such as n >= 14).
     """
 
     def __init__(self, n, reps):
@@ -178,10 +185,14 @@ class _OrbitTables:
         slots = self.slots = np.concatenate((full, np.zeros(pad, full.dtype), periodic))
         cover = np.repeat([n, 0, 1], [len(full), pad, len(periodic)])  # inputs a slot stands for
         self.n, self.g, self.wf, self.reps = n, len(slots), (len(full) + pad) // 64, reps
-        self.sieve = np.tile(cover, (_SIEVE, 1))
+        sieve = np.tile(cover, (_SIEVE, 1))
         for l, c in enumerate(_rotations(self.coords, n)):  # <rot(c), x> = <c, rot^-1(x)>
-            self.sieve -= 2 * (np.bitwise_count(c[:, None] & slots) & 1 & (l < cover))
-        self.sums = self.sieve.sum(axis=1)
+            sieve -= 2 * (np.bitwise_count(c[:, None] & slots) & 1 & (l < cover))
+        self.sums = sieve.sum(axis=1)
+        sieve = np.pad((sieve + n).astype(np.uint8), ((0, 0), (0, -self.g % 64)))  # in [0, 2n]
+        sieve = sieve[:, None] >> np.arange((2 * n).bit_length(), dtype=np.uint8)[:, None] & 1
+        self.planes = np.packbits(sieve, -1, bitorder="little").view("<u8")
+        del sieve  # the planes hold it; freed before the tables are built
         reps = np.array(reps, dtype=np.int64)
         count = np.zeros((len(reps), -(-self.g // 64) * 64), dtype=np.uint8)  # whole words
         mult = np.zeros(len(reps), dtype=np.uint8)
@@ -189,11 +200,12 @@ class _OrbitTables:
             count[:, : self.g] += (m[:, None] & slots) == m[:, None]
             mult += m == reps
         self.tables = np.packbits(count // mult[:, None] & 1, -1, bitorder="little").view("<u8")
-        self.k = min(len(reps), _BLOCK_BITS)
+        words = _BLOCK_WORDS // self.tables.shape[1]
+        self.k = min(len(reps), max(_BLOCK_BITS, words.bit_length() - 1))
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
             low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
-        for a in (slots, self.coords, self.sieve, self.sums, self.tables, low):
+        for a in (slots, self.coords, self.planes, self.sums, self.tables, low):
             a.setflags(write=False)  # shared by every search of the layer
 
     def weight(self, rows):
@@ -202,21 +214,30 @@ class _OrbitTables:
         full = np.add.reduce(pops[: self.wf], axis=0, dtype=np.int32)
         return self.n * full + np.add.reduce(pops[self.wf :], axis=0, dtype=np.int32)
 
+    def slot_bits(self, rows):
+        """0/1 slot bits of packed tables (words on axis 0), one table a row."""
+        return np.unpackbits(rows.T.copy().view(np.uint8), -1, self.g, "little")
+
     def sieve_pass(self, rows):
-        """0/1 slot bits of packed tables (words on axis 0), and whether each
-        table's |W(c)| is 2^(n/2) at every c in `coords`, tested one c at a time
-        on the tables still alive."""
-        bits = np.unpackbits(rows.T.copy().view(np.uint8), -1, self.g, "little")
-        passed = np.zeros(len(bits), dtype=bool)
-        step = max(1, (1 << 17) // self.g)  # int64 casts of at most 1 MiB at once
-        for i in range(0, len(bits), step):
-            alive = np.arange(i, min(i + step, len(bits)))
-            for total, row in zip(self.sums.tolist(), self.sieve):
-                alive = alive[np.abs(total - 2 * (bits[alive] @ row)) == self.bent]
+        """Whether each packed table's (words on axis 0) |W(c)| is 2^(n/2) at every
+        c in `coords`, tested one c at a time on the tables still alive.
+
+        M[c] . bits = sum_b 2^b popcount(row & planes[c, b]) - n popcount(row),
+        exact in int32 since (2n + 1) g < 2^31 at n <= 22."""
+        ones = self.n * np.add.reduce(np.bitwise_count(rows), axis=0, dtype=np.int32)
+        scale = np.left_shift(1, np.arange(self.planes.shape[1], dtype=np.int32))
+        passed = np.zeros(rows.shape[1], dtype=bool)
+        step = max(1, (1 << 17) // self.planes[0].size)  # ANDs of at most 1 MiB at once
+        for i in range(0, len(passed), step):
+            alive = np.arange(i, min(i + step, len(passed)))
+            for total, planes in zip(self.sums.tolist(), self.planes):
+                pops = np.bitwise_count(planes[:, :, None] & rows.take(alive, axis=1))
+                dot = scale @ np.add.reduce(pops, axis=1, dtype=np.int32) - ones[alive]
+                alive = alive[np.abs(total - 2 * dot) == self.bent]
                 if not alive.size:  # most tables fail at the first c
                     break
             passed[alive] = True
-        return bits, passed
+        return passed
 
 
 _layer = None  # (n, reps, _OrbitTables) of the layer searched last
@@ -233,10 +254,12 @@ def _layer_tables(n, reps):
 
 
 def _walk(orb, lo, hi, stats):
-    """Gray walk over subset indices [lo, hi) in numpy blocks; returns (subset, Sanf)s.
+    """Gray walk over subset indices [lo, hi) in blocks of 2^orb.k; returns (subset, Sanf)s.
 
     The Gray code is linear over XOR, so index j0 + off has j0's table XOR
-    column off of `orb.low`.  `_confirm_bent` also re-tests the first sieve negative.
+    column off of `orb.low`.  The sieve reads the W(0) survivors' packed words;
+    only the rows `_confirm_bent` checks are unpacked to slot bits, and it also
+    re-tests the first sieve negative.
     """
     n, k, clock = orb.n, orb.k, time.perf_counter
     hits, left = [], 1  # sieve negatives still to re-test
@@ -249,14 +272,15 @@ def _walk(orb, lo, hi, stats):
         stats.update(walk_s=t1 - t0, weight_survivors=keep.size)
         if not keep.size:  # nothing to sieve or re-test
             continue
-        bits, passed = orb.sieve_pass(rows[:, keep])
+        rows = rows.take(keep, axis=1)  # C order: a fancy index on axis 1 gives F order
+        passed = orb.sieve_pass(rows)
         tested, retest = np.flatnonzero(passed), np.flatnonzero(~passed)[:left]
         left -= retest.size
-        t2 = clock()
-        for i in np.concatenate((tested, retest)).tolist():
+        t2, checked = clock(), np.concatenate((tested, retest))
+        for i, bits in zip(checked.tolist(), orb.slot_bits(rows[:, checked])):
             off = int(keep[i]) + start
             subset = base ^ off ^ (off >> 1)
-            sanf = _confirm_bent(orb, subset, bits[i])
+            sanf = _confirm_bent(orb, subset, bits)
             if sanf and not passed[i]:
                 raise InternalInconsistencyError(f"sieve rejected bent {format_sanf(sanf)}")
             hits += [(subset, sanf)] if sanf else []
@@ -279,7 +303,7 @@ def exhaustive_search(task, checkpoint_path=None):
     `tables_s` covers the whole per-layer setup, representatives included.
     The representatives (memoised in `rotsym`) and the orbit tables are built
     once per layer per process; the tables are kept until another layer is
-    searched (about 30 MiB at n = 20 d = 3, 109 MiB at n = 22 d = 3), so a
+    searched (about 27 MiB at n = 20 d = 3, 98 MiB at n = 22 d = 3), so a
     warm call's `tables_s` is the Burnside recount, a copy of the memoised
     representatives and the lookup.  Only repeated searches of one layer in
     one process gain: a CLI run makes one call.

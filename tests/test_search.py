@@ -118,10 +118,10 @@ def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
     orb = seen[0]
     assert all(o is orb for o in seen) and len(seen) == 3
     assert builds == [(10, None)]
-    arrays = [orb.slots, orb.coords, orb.sieve, orb.sums, orb.tables, orb.low]
+    arrays = [orb.slots, orb.coords, orb.planes, orb.sums, orb.tables, orb.low]
     held = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
     assert {id(a) for a in held} == {id(a) for a in arrays}  # every array the layer holds
-    assert np.array_equal(orb.sums, orb.sieve.sum(axis=1))
+    assert np.array_equal(orb.sums, _sieve_rows(orb).sum(axis=1))
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -130,7 +130,10 @@ def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
 
 def _record(result):
     """`as_dict()` without the timings: what a cold and a warm call must share."""
-    d = result.as_dict()
+    return _masked(result.as_dict())
+
+
+def _masked(d):
     del d["elapsed_s"]
     d["stats"] = {k: v for k, v in d["stats"].items() if not k.endswith("_s")}
     return d
@@ -195,6 +198,45 @@ def test_the_benchmark_shard_record_is_pinned():
     }
 
 
+def _records(task, path):
+    """The timing-masked result of `task` and of each checkpoint line it writes."""
+    path.unlink(missing_ok=True)
+    res = exhaustive_search(task, checkpoint_path=str(path))
+    return _record(res), [_masked(json.loads(line)) for line in path.read_text().splitlines()]
+
+
+def test_block_width_never_changes_a_record(monkeypatch, tmp_path):
+    # blocks of 2^16 table words widen n = 10 and n = 12 layers; a budget of
+    # one word forces every layer back to the narrowest blocks, 2^12 columns
+    tasks = [SearchTask(10, 4, (13, 256)), SearchTask(10, 4, (5, 7))]
+    tasks += [SearchTask(12, 3), SearchTask(8, 2)]
+    for n, d, k in ((10, 4, 14), (12, 3, 13), (16, 3, 12)):
+        assert search._OrbitTables(n, enumerate_orbit_reps(n, d)).k == k, (n, d)
+    seen = _walked_tables(monkeypatch)
+    wide = [_records(t, tmp_path / "wide.jsonl") for t in tasks]
+    monkeypatch.setattr(search, "_layer", None)
+    monkeypatch.setattr(search, "_BLOCK_WORDS", 1)
+    narrow = [_records(t, tmp_path / "narrow.jsonl") for t in tasks]
+    assert [o.k for o in seen] == [14, 14, 13, 4, 12, 12, 12, 4]
+    assert narrow == wide
+
+
+def test_a_warm_benchmark_round_traces_under_one_mib():
+    # the 16 shards of a search-n10-d4 benchmark round on held tables; the
+    # packed sieve keeps 2^14-column blocks near 0.7 MiB, where unpacking
+    # each block's W(0) survivors to int64 bits traced about 1.8 MiB
+    tasks = [SearchTask(10, 4, shard=(i, 256)) for i in range(13, 256, 16)]
+    exhaustive_search(tasks[0])
+    tracemalloc.start()
+    try:
+        for task in tasks:
+            exhaustive_search(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_search_stats():
     res = exhaustive_search(SearchTask(12, 3))
     stats = res.stats
@@ -219,8 +261,7 @@ def test_sieve_negative_that_is_bent_is_an_inconsistency(monkeypatch):
     real = search._OrbitTables.sieve_pass
 
     def reject_all(self, rows):
-        bits, passed = real(self, rows)
-        return bits, np.zeros_like(passed)
+        return np.zeros_like(real(self, rows))
 
     monkeypatch.setattr(search._OrbitTables, "sieve_pass", reject_all)
     with pytest.raises(InternalInconsistencyError, match="sieve rejected bent"):
@@ -264,15 +305,18 @@ def test_a_rebuilt_table_flipped_off_the_orbit_members_is_an_inconsistency(monke
 def test_a_sieve_negative_with_corrupted_orbit_bits_is_an_inconsistency(monkeypatch):
     # n = 12 d = 3 has W(0) survivors and no bent function: a bentness-only
     # re-test of the first sieve negative would pass, the table check must not
-    real = search._OrbitTables.sieve_pass
+    real_pass, real_bits = search._OrbitTables.sieve_pass, search._OrbitTables.slot_bits
 
-    def corrupt_and_reject(self, rows):
-        bits, passed = real(self, rows)
-        bits = bits.copy()
+    def reject(self, rows):
+        return np.zeros_like(real_pass(self, rows))
+
+    def corrupt(self, rows):
+        bits = real_bits(self, rows).copy()
         bits[:, 0] ^= 1
-        return bits, np.zeros_like(passed)
+        return bits
 
-    monkeypatch.setattr(search._OrbitTables, "sieve_pass", corrupt_and_reject)
+    monkeypatch.setattr(search._OrbitTables, "sieve_pass", reject)
+    monkeypatch.setattr(search._OrbitTables, "slot_bits", corrupt)
     with pytest.raises(InternalInconsistencyError, match="orbit bits disagree"):
         exhaustive_search(SearchTask(12, 3))
     assert main(["search", "-n", "12", "-d", "3"]) == 3
@@ -295,7 +339,7 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     tt = sanf_truth_table(sanf)
     orb = search._OrbitTables(n, sanf.reps)
     row = np.bitwise_xor.reduce(orb.tables, axis=0)
-    bits, passed = orb.sieve_pass(row[:, None])
+    bits, passed = orb.slot_bits(row[:, None]), orb.sieve_pass(row[:, None])
     assert np.array_equal(bits[0], tt.bits[orb.slots]) and is_rotation_symmetric(tt)
     assert orb.weight(row[:, None])[0] == tt.weight
     want = walsh_spectrum(tt).values[orb.coords]
@@ -303,9 +347,15 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     assert passed.tolist() == [bool(np.all(np.abs(want) == 1 << (n // 2)))]
 
 
+def _sieve_rows(orb):
+    """The sieve rows M[c] decoded from their bit planes: sum_b 2^b P_b - n."""
+    planes = np.unpackbits(orb.planes.view(np.uint8), -1, orb.g, "little").astype(np.int64)
+    return np.tensordot(1 << np.arange(planes.shape[1]), planes, (0, 1)) - orb.n
+
+
 def _sieve_values(orb, bits):
     """W at `coords` of every row of orbit bits, all coordinates at once."""
-    return orb.sums - 2 * (bits.astype(np.int64) @ orb.sieve.T)
+    return orb.sums - 2 * (bits.astype(np.int64) @ _sieve_rows(orb).T)
 
 
 def _block_rows(orb, j0):
@@ -321,7 +371,8 @@ def _block_rows(orb, j0):
 def test_early_exit_sieve_flags_equal_the_all_coordinates_test(n, d, blocks, passing):
     # the W(0) survivors of every block of n=8 d=2 and n=12 d=3 and of random
     # blocks of n=10 d=4, row for row; every 8th block also whole, which
-    # spans several 1 MiB steps and mostly fails at the first coordinate
+    # spans two or three 1 MiB steps at n = 10 and 12 and mostly fails at
+    # the first coordinate
     orb = search._OrbitTables(n, enumerate_orbit_reps(n, d))
     total = 1 << (len(orb.reps) - orb.k)
     rng = np.random.default_rng(n)
@@ -331,7 +382,7 @@ def test_early_exit_sieve_flags_equal_the_all_coordinates_test(n, d, blocks, pas
         rows = _block_rows(orb, b << orb.k)
         keep = np.flatnonzero(np.abs((1 << n) - 2 * orb.weight(rows)) == orb.bent)
         for part in (rows, rows[:, keep])[b % 8 > 0 :]:
-            bits, passed = orb.sieve_pass(part)
+            bits, passed = orb.slot_bits(part), orb.sieve_pass(part)
             assert passed.dtype == bool and passed.shape == (part.shape[1],)
             want = np.all(np.abs(_sieve_values(orb, bits)) == orb.bent, axis=1)
             assert np.array_equal(passed, want), (n, d, b)
@@ -380,7 +431,7 @@ def _check_slots(orb):
     members = sorted(sizes)
     picks = np.linspace(1, len(members) - 1, search._SIEVE).astype(np.int64)
     assert orb.coords.tolist() == [members[i] for i in picks]
-    for c, row in zip(orb.coords.tolist(), orb.sieve):
+    for c, row in zip(orb.coords.tolist(), _sieve_rows(orb)):
         want = [sum(1 - 2 * (bin(c & y).count("1") & 1) for y in ys) for ys in stands]
         assert row.tolist() == want, (n, c)
 
