@@ -5,11 +5,11 @@ the weight-d orbit representatives, walked in Gray-code order in numpy
 blocks of at least 2^12 candidates, wider while a block's tables fit in 2^16
 words.  A rotation-symmetric function is constant on input rotation orbits,
 so a candidate's table is one bit per orbit of size n and one per input of a
-smaller orbit (slot bits).  The W(0) weight filter, then a sieve of exact W(c)
-at a few inputs c (one input at a time, each candidate dropped at its first
-failing one; popcounts of the packed slot words against bit planes of the
-sieve rows), then the full spectral test pick the hits; that test runs on
-the table rebuilt from the SANF, after checking it against the slot bits.
+smaller orbit (slot bits).  The W(0) weight filter, then a sieve of exact
+W(c) = 4 odd[c] . bits - 2 weight at a few inputs c (odd[c] counting each
+slot's inputs y with <c, y> odd; one c at a time, each candidate dropped at
+its first failing one), then the full spectral test pick the hits; that test
+runs on the table rebuilt from the SANF, after checking it against the slot bits.
 
 Spaces over `BUDGET` (2^24) candidates must be split into shards
 (contiguous Gray-index ranges that partition the space) or explicitly
@@ -155,20 +155,22 @@ def _confirm_bent(orb, subset, bits):
 
 
 class _OrbitTables:
-    """A layer's orbit-sized tables: single-orbit tables on slot bits, sieve rows.
+    """A layer's orbit-sized tables: single-orbit tables on slot bits, sieve planes.
 
     `slots` holds each aperiodic orbit's least input (standing for its n inputs),
     zero pads to word `wf` (for none), then each periodic input (for itself), so
     a weight is n * popcount(words < wf) + popcount(words >= wf).  Row r of
     `tables` packs representative r at each slot x into uint64 words: the parity
     of the distinct rotations m of r with m & x == m.  Column j of `low` (words on
-    axis 0) XORs the first k rows that the Gray code j ^ (j >> 1) picks.  With sieve
-    rows M[c, i] = sum over the inputs y of slot i of (-1)^<c,y>, W(c) = M[c] . (1 - 2 bits);
-    `planes[c, b]` packs bit b of M[c] + n (in [0, 2n]) in the word layout of `tables`,
-    the one form of M kept.  Both are built one rotation at a time on 2-D (rows x slots)
-    arrays.  Blocks are 2^k columns: as many as keep `low` within `_BLOCK_WORDS` words,
-    at least 2^_BLOCK_BITS and at most 2^len(reps) (k = 14 at n = 10 d = 4, 13 at
-    n = 12 d = 3, 12 on every layer of more than 16 words, such as n >= 14).
+    axis 0) XORs the first k rows that the Gray code j ^ (j >> 1) picks.  Slot i
+    sums (-1)^<c,y> over its inputs y to cover_i - 2 odd[c, i], odd[c, i] (0..n)
+    counting those with <c, y> odd; the slots cover each input once and c != 0,
+    so the sums add to 0 and W(c) = 4 odd[c] . bits - 2 weight.  `planes[c, b]`
+    packs bit b of odd[c] in the word layout of `tables`.  Both are built one
+    rotation at a time on 2-D (rows x slots) arrays.  Blocks are 2^k columns: as
+    many as keep `low` within `_BLOCK_WORDS` words, at least 2^_BLOCK_BITS and at
+    most 2^len(reps) (k = 14 at n = 10 d = 4, 13 at n = 12 d = 3, 12 on every
+    layer of more than 16 words, such as n >= 14).
     """
 
     def __init__(self, n, reps):
@@ -185,14 +187,12 @@ class _OrbitTables:
         slots = self.slots = np.concatenate((full, np.zeros(pad, full.dtype), periodic))
         cover = np.repeat([n, 0, 1], [len(full), pad, len(periodic)])  # inputs a slot stands for
         self.n, self.g, self.wf, self.reps = n, len(slots), (len(full) + pad) // 64, reps
-        sieve = np.tile(cover, (_SIEVE, 1))
+        odd = np.zeros((_SIEVE, -(-self.g // 64) * 64), dtype=np.uint8)  # whole words
         for l, c in enumerate(_rotations(self.coords, n)):  # <rot(c), x> = <c, rot^-1(x)>
-            sieve -= 2 * (np.bitwise_count(c[:, None] & slots) & 1 & (l < cover))
-        self.sums = sieve.sum(axis=1)
-        sieve = np.pad((sieve + n).astype(np.uint8), ((0, 0), (0, -self.g % 64)))  # in [0, 2n]
-        sieve = sieve[:, None] >> np.arange((2 * n).bit_length(), dtype=np.uint8)[:, None] & 1
-        self.planes = np.packbits(sieve, -1, bitorder="little").view("<u8")
-        del sieve  # the planes hold it; freed before the tables are built
+            odd[:, : self.g] += np.bitwise_count(c[:, None] & slots) & 1 & (l < cover)
+        odd = odd[:, None] >> np.arange(n.bit_length(), dtype=np.uint8)[:, None] & 1
+        self.planes = np.packbits(odd, -1, bitorder="little").view("<u8")
+        del odd  # the planes hold it; freed before the tables are built
         reps = np.array(reps, dtype=np.int64)
         count = np.zeros((len(reps), -(-self.g // 64) * 64), dtype=np.uint8)  # whole words
         mult = np.zeros(len(reps), dtype=np.uint8)
@@ -205,7 +205,7 @@ class _OrbitTables:
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
             low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
-        for a in (slots, self.coords, self.planes, self.sums, self.tables, low):
+        for a in (slots, self.coords, self.planes, self.tables, low):
             a.setflags(write=False)  # shared by every search of the layer
 
     def weight(self, rows):
@@ -222,18 +222,18 @@ class _OrbitTables:
         """Whether each packed table's (words on axis 0) |W(c)| is 2^(n/2) at every
         c in `coords`, tested one c at a time on the tables still alive.
 
-        M[c] . bits = sum_b 2^b popcount(row & planes[c, b]) - n popcount(row),
-        exact in int32 since (2n + 1) g < 2^31 at n <= 22."""
-        ones = self.n * np.add.reduce(np.bitwise_count(rows), axis=0, dtype=np.int32)
-        scale = np.left_shift(1, np.arange(self.planes.shape[1], dtype=np.int32))
+        W(c) = 4 sum_b 2^b popcount(row & planes[c, b]) - 2 weight(row), exact in
+        int32 since 4 n g < 2^31 at n <= 22."""
+        twice = 2 * self.weight(rows)
+        scale = np.left_shift(4, np.arange(self.planes.shape[1], dtype=np.int32))
         passed = np.zeros(rows.shape[1], dtype=bool)
         step = max(1, (1 << 17) // self.planes[0].size)  # ANDs of at most 1 MiB at once
         for i in range(0, len(passed), step):
             alive = np.arange(i, min(i + step, len(passed)))
-            for total, planes in zip(self.sums.tolist(), self.planes):
+            for planes in self.planes:
                 pops = np.bitwise_count(planes[:, :, None] & rows.take(alive, axis=1))
-                dot = scale @ np.add.reduce(pops, axis=1, dtype=np.int32) - ones[alive]
-                alive = alive[np.abs(total - 2 * dot) == self.bent]
+                w = scale @ np.add.reduce(pops, axis=1, dtype=np.int32) - twice[alive]
+                alive = alive[np.abs(w) == self.bent]
                 if not alive.size:  # most tables fail at the first c
                     break
             passed[alive] = True

@@ -118,10 +118,10 @@ def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
     orb = seen[0]
     assert all(o is orb for o in seen) and len(seen) == 3
     assert builds == [(10, None)]
-    arrays = [orb.slots, orb.coords, orb.planes, orb.sums, orb.tables, orb.low]
+    arrays = [orb.slots, orb.coords, orb.planes, orb.tables, orb.low]
     held = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
     assert {id(a) for a in held} == {id(a) for a in arrays}  # every array the layer holds
-    assert np.array_equal(orb.sums, _sieve_rows(orb).sum(axis=1))
+    assert not _sieve_rows(orb).sum(axis=1).any()  # every M[c] sums to 0, as sieve_pass assumes
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -178,24 +178,38 @@ def test_another_layer_replaces_the_held_tables_after_dropping_them(monkeypatch)
     assert search._layer_tables(10, reps) is orb and len(builds) == 2
 
 
+# timing-masked records: (n, d, shard), Gray range, W(0) survivors, sieve
+# survivors, spectral tests, bent SANFs and params hash; shard 13/256 is one
+# of the 16 of a search-n10-d4 benchmark round
+_BENT_8_2 = ["x1x5", "x1x2+x1x5", "x1x3+x1x5", "x1x2+x1x3+x1x5", "x1x4+x1x5"]
+_BENT_8_2 += ["x1x2+x1x4+x1x5", "x1x3+x1x4+x1x5", "x1x2+x1x3+x1x4+x1x5"]
+_PINNED = [
+    ((10, 4, (13, 256)), (212992, 229376), (676, 0, 1), [], "e866e552f013d574"),
+    ((10, 4, (5, 7)), (2995931, 3595117), (5683, 0, 1), [], "cac4b6a828645c51"),
+    ((12, 3, None), (1, 524288), (32878, 27, 28), [], "612e5a487447a652"),
+    ((12, 3, (1, 3)), (174763, 349525), (11310, 8, 9), [], "5e470a1ca843ab7d"),
+    ((12, 4, (3, 1 << 20)), (25165824, 33554432), (6477, 0, 8), [], "376faea7a51f87f1"),
+    ((8, 2, None), (1, 16), (8, 8, 8), _BENT_8_2, "5540a0a96cbeac2a"),
+    ((8, 4, None), (1, 1024), (2, 0, 1), [], "b6125d9364c34c58"),
+    ((9, 3, None), (1, 1024), (0, 0, 0), [], "5ab98cb8ed9bb052"),
+]
+
+
 def test_the_benchmark_shard_record_is_pinned():
-    # one of the 16 shards of the search-n10-d4 benchmark round, timings masked
-    assert _record(exhaustive_search(SearchTask(10, 4, shard=(13, 256)))) == {
-        "n": 10,
-        "d": 4,
-        "shard": [13, 256],
-        "range": [212992, 229376],
-        "candidates_tested": 16384,
-        "bent": [],
-        "stats": {
-            "candidates": 16384,
-            "weight_survivors": 676,
-            "sieve_survivors": 0,
-            "spectral_tests": 1,
-            "hits": 0,
-        },
-        "params_hash": "e866e552f013d574",
-    }
+    # a refactor of the search must leave every one of these records equal
+    for (n, d, shard), (lo, hi), (weight, sieve, spectral), bent, digest in _PINNED:
+        stats = {"candidates": hi - lo, "weight_survivors": weight, "sieve_survivors": sieve}
+        stats.update(spectral_tests=spectral, hits=len(bent))
+        assert _record(exhaustive_search(SearchTask(n, d, shard))) == {
+            "n": n,
+            "d": d,
+            "shard": shard and list(shard),
+            "range": [lo, hi],
+            "candidates_tested": hi - lo,
+            "bent": bent,
+            "stats": stats,
+            "params_hash": digest,
+        }, (n, d, shard)
 
 
 def _records(task, path):
@@ -347,15 +361,30 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     assert passed.tolist() == [bool(np.all(np.abs(want) == 1 << (n // 2)))]
 
 
-def _sieve_rows(orb):
-    """The sieve rows M[c] decoded from their bit planes: sum_b 2^b P_b - n."""
+def _sieve_odd(orb):
+    """The odd counts odd[c] decoded from their bit planes: sum_b 2^b P_b."""
     planes = np.unpackbits(orb.planes.view(np.uint8), -1, orb.g, "little").astype(np.int64)
-    return np.tensordot(1 << np.arange(planes.shape[1]), planes, (0, 1)) - orb.n
+    return np.tensordot(1 << np.arange(planes.shape[1]), planes, (0, 1))
+
+
+def _cover(orb):
+    """Inputs each slot stands for, from the slot layout: n for the first wf words
+    but their pads (a 0 past index 0; input 0 leads only at n = 1, where it is
+    aperiodic), 1 for each periodic input."""
+    i = np.arange(orb.g)
+    pad = (i > 0) & (orb.slots == 0) & (i < 64 * orb.wf)
+    return np.where(i < 64 * orb.wf, orb.n * ~pad, 1)
+
+
+def _sieve_rows(orb):
+    """The sieve rows M[c, i] = sum over the inputs y of slot i of (-1)^<c,y>,
+    rebuilt from the planes as cover - 2 odd."""
+    return _cover(orb) - 2 * _sieve_odd(orb)
 
 
 def _sieve_values(orb, bits):
     """W at `coords` of every row of orbit bits, all coordinates at once."""
-    return orb.sums - 2 * (bits.astype(np.int64) @ _sieve_rows(orb).T)
+    return (1 - 2 * bits.astype(np.int64)) @ _sieve_rows(orb).T
 
 
 def _block_rows(orb, j0):
@@ -416,7 +445,7 @@ def _check_slots(orb):
     """Against brute-force least rotations: every aperiodic orbit's least input once,
     pads of input 0 up to word wf, every periodic input once; each slot standing for
     its orbit's n inputs, none, or itself covers every input once; coords and the
-    sieve rows are those of the sorted least members."""
+    odd counts and sieve rows are those of the sorted least members."""
     n, wf = orb.n, orb.wf
     least = [min(rotate(x, l, n) for l in range(n)) for x in range(1 << n)]
     sizes = Counter(least)
@@ -431,9 +460,11 @@ def _check_slots(orb):
     members = sorted(sizes)
     picks = np.linspace(1, len(members) - 1, search._SIEVE).astype(np.int64)
     assert orb.coords.tolist() == [members[i] for i in picks]
-    for c, row in zip(orb.coords.tolist(), _sieve_rows(orb)):
-        want = [sum(1 - 2 * (bin(c & y).count("1") & 1) for y in ys) for ys in stands]
-        assert row.tolist() == want, (n, c)
+    assert _cover(orb).tolist() == list(map(len, stands))
+    for c, odd, row in zip(orb.coords.tolist(), _sieve_odd(orb), _sieve_rows(orb)):
+        parity = [[bin(c & y).count("1") & 1 for y in ys] for ys in stands]
+        assert odd.tolist() == list(map(sum, parity)), (n, c)
+        assert row.tolist() == [sum(1 - 2 * p for p in ps) for ps in parity], (n, c)
 
 
 @pytest.mark.parametrize("n, d", [(8, 2), (8, 3), (10, 3)])
@@ -453,8 +484,16 @@ def test_orbit_tables_keep_no_input_sized_array():
     # the build scans all 2^n inputs, but what it keeps is orbit-sized
     orb = search._OrbitTables(16, enumerate_orbit_reps(16, 3))
     arrays = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) >= 6
+    assert len(arrays) == 5
     assert max(max(a.shape) for a in arrays) < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "n, d, shape", [(10, 4, (8, 4, 3)), (12, 3, (8, 4, 8)), (16, 3, (8, 5, 68))]
+)
+def test_sieve_planes_hold_odd_counts_in_n_bit_length_bits(n, d, shape):
+    # (coords, n.bit_length() planes, table words): odd[c, i] is at most n
+    assert search._OrbitTables(n, enumerate_orbit_reps(n, d)).planes.shape == shape
 
 
 def test_table_build_memory_is_bounded():
