@@ -263,10 +263,10 @@ def check_leading_block(sanf, rule):
 def check_block_pair(sanf, rule):
     """The exact pair x1...xd + x1...x(d-1)x(d+1), d >= 3: never bent.
 
-    The chain witness fires for most n; for the two small escapes (d=3 with
-    n = 6 or 10) the valuation bound is not violated and the rule falls back
-    to a direct spectral check, still returning NOT_BENT but without witness
-    fields.
+    The chain witness fires for most n.  Where it does not verify (d = 3 with
+    n = 6 or 10, and n = 2d for 5 <= d <= 11) the rule falls back to a direct
+    spectral check, still returning NOT_BENT but without witness fields; past
+    the full-table cap (n = 22) the table route refuses and the rule declines.
     """
     n, d = sanf.n, sanf.homogeneous_degree
     block, pair = _block_and_pair(d)
@@ -281,9 +281,13 @@ def check_block_pair(sanf, rule):
         k, u0 = q - 1, _block_chain(block, d, q - 1, n)
     detail = f"k={k} chain of {format_monomial(block)}"
     outcome = _try_witness(sanf, rule, u0, k, k, detail)
-    if not isinstance(outcome, str) or n > _ARRAY_N_MAX:  # no table past the cap
+    if not isinstance(outcome, str):
         return outcome
-    if not is_bent(sanf_truth_table(sanf)):
+    try:
+        bent = is_bent(sanf_truth_table(sanf))
+    except CapacityError:  # no table past the cap
+        return outcome
+    if not bent:
         return NonexistenceReport(
             n,
             rule,

@@ -13,9 +13,7 @@ validation, parsing and formatting meet the same few masks over and over.
 Arguments are validated before the cache is consulted, so bad input raises
 on every call.  `enumerate_orbit_reps` does not fill that memo: it takes a
 layer's masks with position 1 as one numpy array and keeps each one's largest
-rotation.  It keeps its own bounded memo of whole layers, keyed by n, w and
-the Burnside count, so a search's repeated shard calls enumerate once; every
-call still validates, recounts and returns a fresh list.
+rotation.
 """
 
 import functools
@@ -90,11 +88,6 @@ def cyclic_run_count(u, n):
 def enumerate_orbit_reps(n, w):
     """Canonical representatives of all weight-w orbits, sorted by position tuple."""
     count = orbit_count(n, w)  # validates n and w
-    return list(_orbit_reps(n, w, count))
-
-
-@functools.lru_cache(maxsize=16)
-def _orbit_reps(n, w, count):
     # every orbit has a member with position 1, the top bit of its reversed mask
     rest = map(sum, combinations([1 << p for p in range(n - 1)], w - 1))
     rev = (1 << (n - 1)) | np.fromiter(rest, np.int64)
@@ -102,7 +95,7 @@ def _orbit_reps(n, w, count):
     if len(keys) != count:
         raise InternalInconsistencyError(f"{len(keys)} weight-{w} orbits, Burnside says {count}")
     # at a fixed weight, a larger reversed mask is an earlier position tuple
-    return tuple(_rev(k, n) for k in sorted(keys, reverse=True))
+    return [_rev(k, n) for k in sorted(keys, reverse=True)]
 
 
 @functools.lru_cache(maxsize=1 << 14)

@@ -240,16 +240,16 @@ class _OrbitTables:
         return passed
 
 
-_layer = None  # (n, reps, _OrbitTables) of the layer searched last
+_layer = None  # (n, d, _OrbitTables) of the layer searched last; a warm call is this lookup
 
 
-def _layer_tables(n, reps):
-    """The `_OrbitTables` of the layer searched last; another layer's replace them,
-    the old ones dropped before the new ones are built."""
+def _layer_tables(n, d):
+    """The `_OrbitTables` of layer (n, d), built on a miss; the held layer is
+    dropped before the new one's representatives are enumerated."""
     global _layer
-    if _layer is None or _layer[:2] != (n, reps):
+    if _layer is None or _layer[:2] != (n, d):
         _layer = None
-        _layer = (n, reps, _OrbitTables(n, reps))
+        _layer = (n, d, _OrbitTables(n, tuple(enumerate_orbit_reps(n, d))))
     return _layer[2]
 
 
@@ -301,12 +301,10 @@ def exhaustive_search(task, checkpoint_path=None):
     `stats` counts candidates, W(0) and sieve survivors, full spectral tests
     (one re-tested sieve negative per chunk included) and hits, and times stages;
     `tables_s` covers the whole per-layer setup, representatives included.
-    The representatives (memoised in `rotsym`) and the orbit tables are built
-    once per layer per process; the tables are kept until another layer is
-    searched (about 27 MiB at n = 20 d = 3, 98 MiB at n = 22 d = 3), so a
-    warm call's `tables_s` is the Burnside recount, a copy of the memoised
-    representatives and the lookup.  Only repeated searches of one layer in
-    one process gain: a CLI run makes one call.
+    A layer's representatives and orbit tables are built once per process and
+    kept until another layer is searched (about 27 MiB at n = 20 d = 3, 98 MiB
+    at n = 22 d = 3), so a warm call's `tables_s` is just the lookup.  Only
+    repeated searches of one layer in one process gain: a CLI run makes one call.
     """
     n, started = task.n, time.perf_counter()
     lo, hi = _shard_range(task, orbit_count(n, task.d))
@@ -318,10 +316,8 @@ def exhaustive_search(task, checkpoint_path=None):
             f"split into at least {_count_text(shards)} shards or mark the task long-running"
         )
     _check_table_n(n)
-    reps = enumerate_orbit_reps(n, task.d)
-
     stats = Counter({k: 0.0 if k.endswith("_s") else 0 for k in _STATS})  # update() adds
-    orb = _layer_tables(n, tuple(reps))
+    orb = _layer_tables(n, task.d)
     stats.update(tables_s=time.perf_counter() - started)
     hits = []
     for chunk_lo in range(lo, hi, _CHUNK) or [lo]:  # an empty shard: one record of [lo, lo)

@@ -252,6 +252,13 @@ def test_spectrum_route_single_mask_matches_the_full_scan():
             )
 
 
+def test_spectrum_route_refuses_masks_out_of_range():
+    ws = walsh_spectrum(sanf_truth_table(Sanf(6, (0b111,))))
+    for u in (-1, 1 << 6):
+        with pytest.raises(ValueError, match=f"mask {u} out of range for n=6"):
+            cover_coefficient_from_spectrum(ws, u)
+
+
 def test_spectrum_route_single_mask_rejects_a_tampered_spectrum():
     # W(all-ones) + 1 makes every superset sum odd except the one of u = all-ones,
     # whose divisor is 2^0

@@ -25,6 +25,14 @@ from rotbent.gf2poly import gf2_degree, gf2_divmod, gf2_mod, gf2_mul, rank_gf2
 from rotbent.rotsym import sanf_from_masks
 
 
+def test_degree_and_division_refuse_bad_polynomials():
+    assert gf2_degree(0) is None and gf2_degree(0b1011) == 3
+    with pytest.raises(ValueError, match="polynomials are nonnegative ints"):
+        gf2_degree(-1)
+    with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+        gf2_divmod(0b1011, 0)
+
+
 def test_gcd_hand_cases():
     assert gf2_gcd(0b101, 0b11) == 0b11  # x^2+1 = (x+1)^2
     assert gf2_gcd(0b1001, 0b101) == 0b11  # x^3+1 and x^2+1 share x+1

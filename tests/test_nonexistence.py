@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -155,12 +156,31 @@ def test_leading_block():
     assert "x1x2x6" in rep.detail
 
 
+def _block_pair(n, d):
+    """x1...xd + x1...x(d-1)x(d+1) on n variables."""
+    return sanf_from_masks([(1 << d) - 1, (1 << (d - 1)) - 1 | 1 << d], n)
+
+
 def test_block_pair_small_cases_checked_spectrally():
-    for n in (6, 10):
-        rep = check_block_pair(parse_sanf("x1x2x3+x1x2x4", n))
+    # every shape of n = 6-22 whose chain witness does not verify, up to the table cap
+    for n, d in ((6, 3), (10, 3), (10, 5), (12, 6), (14, 7), (16, 8), (18, 9), (20, 10), (22, 11)):
+        rep = check_block_pair(_block_pair(n, d))
         assert rep.verdict == NOT_BENT
         assert rep.witness_u0 is None
-        assert "direct spectral" in rep.detail
+        assert rep.detail.startswith("direct spectral verification"), (n, d)
+
+
+def test_block_pair_past_the_table_cap_declines_without_a_table():
+    tracemalloc.start()
+    try:
+        rep = check_block_pair(_block_pair(24, 12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == INCONCLUSIVE and rep.detail.startswith("witness did not verify")
+    # the witness check's table on the 22 bits of u0 peaks at 9.1 MiB; a
+    # 2^24-entry truth table alone would take 16 MiB
+    assert peak < 16 << 20
 
 
 def test_block_pair_with_witness():

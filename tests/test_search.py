@@ -24,6 +24,7 @@ from rotbent import (
     is_bent,
     orbit_count,
     orbit_masks,
+    parse_sanf,
     sanf_truth_table,
     search,
     search_crosscheck,
@@ -173,9 +174,48 @@ def test_another_layer_replaces_the_held_tables_after_dropping_them(monkeypatch)
     assert builds == [(8, None), (10, None)]  # nothing held during either build
     assert old() is None
     reps = tuple(enumerate_orbit_reps(10, 3))
-    n, held, orb = search._layer
-    assert (n, held) == (10, reps) and (orb.n, orb.reps) == (10, reps)
-    assert search._layer_tables(10, reps) is orb and len(builds) == 2
+    n, d, orb = search._layer
+    assert (n, d) == (10, 3) and (orb.n, orb.reps) == (10, reps)
+    assert search._layer_tables(10, 3) is orb and len(builds) == 2
+
+
+def _enumerations(monkeypatch):
+    """(n, w) of each `enumerate_orbit_reps` call the search makes, from a cold start."""
+    seen, real = [], search.enumerate_orbit_reps
+
+    def spy(n, w):
+        seen.append((n, w))
+        return real(n, w)
+
+    monkeypatch.setattr(search, "enumerate_orbit_reps", spy)
+    monkeypatch.setattr(search, "_layer", None)
+    return seen
+
+
+def test_a_benchmark_round_run_twice_enumerates_once(monkeypatch):
+    seen = _enumerations(monkeypatch)
+    tasks = [SearchTask(10, 4, shard=(i, 256)) for i in range(13, 256, 16)]
+    for task in tasks + tasks:
+        exhaustive_search(task)
+    assert seen == [(10, 4)]
+
+
+def test_each_layer_switch_enumerates_once(monkeypatch):
+    seen = _enumerations(monkeypatch)
+    layers = [(8, 3), (8, 3), (10, 3), (8, 3), (8, 3), (8, 2), (10, 3), (10, 3)]
+    for n, d in layers:
+        exhaustive_search(SearchTask(n, d))
+    assert seen == [(8, 3), (10, 3), (8, 3), (8, 2), (10, 3)]
+
+
+@pytest.mark.parametrize("task", [SearchTask(10, 5), SearchTask(24, 2)])  # budget, table cap
+def test_a_refused_call_enumerates_nothing_and_keeps_the_held_layer(monkeypatch, task):
+    seen = _enumerations(monkeypatch)
+    exhaustive_search(SearchTask(8, 3))
+    held = search._layer
+    with pytest.raises(CapacityError):
+        exhaustive_search(task)
+    assert seen == [(8, 3)] and search._layer is held
 
 
 # timing-masked records: (n, d, shard), Gray range, W(0) survivors, sieve
@@ -711,6 +751,12 @@ def test_degree2_verdicts_take_all_four_routes():
             bent, methods = bent_verdict(sanf)
             assert methods == ["walsh", "valuation", "gcd", "rank"], format_sanf(sanf)
             assert bent == is_bent(sanf_truth_table(sanf)), format_sanf(sanf)
+
+
+def test_degree2_verdicts_at_odd_n_leave_out_the_refusing_routes():
+    # valuation and gcd take even n only; past the table cap only rank is left
+    assert bent_verdict(parse_sanf("x1x2", 9)) == (False, ["walsh", "rank"])
+    assert bent_verdict(parse_sanf("x1x2+x1x3", 23)) == (False, ["rank"])
 
 
 def test_a_rule_that_rejects_a_bent_function_is_unsound(monkeypatch):

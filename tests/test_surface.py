@@ -3,6 +3,7 @@ kernel, and one run path set by arguments alone."""
 
 import argparse
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -242,6 +243,33 @@ def test_one_route_comparison():
                     if isinstance(node, ast.Raise) and "methods disagree" in ast.unparse(node)
                 ]
     assert sites == [("search.py", "bent_verdict")]
+
+
+def test_the_benchmark_binds_to_existing_names(monkeypatch):
+    # bench/ traces and calls rotbent by name from outside the package, so a
+    # rename would otherwise show only as a warning in a traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("tracer")
+    bindings = tracer.FUNCTIONS.values()
+    assert [b for b in bindings if not hasattr(importlib.import_module(b[0]), b[1])] == []
+    assert tracer.RULE_NAMES == tuple(name for name, _ in rotbent.nonexistence.RULES)
+    workloads = (ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"\brb\.(\w+)", workloads)))
+    assert names and [name for name in names if not hasattr(rotbent, name)] == []
+
+
+def test_one_layer_cache():
+    # a layer's representatives are enumerated where its tables are built;
+    # the crosscheck, which builds no tables, enumerates for itself
+    tree = ast.parse((ROOT / "src" / "rotbent" / "search.py").read_text(encoding="utf-8"))
+    sites = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "enumerate_orbit_reps"
+    ]
+    assert sites == ["_layer_tables", "search_crosscheck"]
 
 
 def test_one_run_record():

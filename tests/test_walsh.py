@@ -3,9 +3,11 @@
 import random
 
 import numpy as np
+import pytest
 
 from rotbent import AnfForm, is_bent, truth_table_from_anf, walsh_spectrum
 from rotbent.boolfn import TruthTable
+from rotbent.walsh import WalshSpectrum
 
 
 def walsh_naive(bits, n, c):
@@ -117,3 +119,17 @@ def test_zero_function_on_twenty_variables():
     assert values.dtype == np.int64
     assert values[0] == 1 << 20
     assert not values[1:].any()
+
+
+def test_a_spectrum_needs_exactly_2n_values():
+    for values in ([0] * 7, [0] * 9, np.zeros((2, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="spectrum for n=3 needs 8 values"):
+            WalshSpectrum(3, values)
+
+
+def test_spectra_compare_by_n_and_values():
+    x1x2 = walsh_spectrum(truth_table_from_anf(AnfForm(4, frozenset({0b11}))))
+    assert x1x2 == walsh_spectrum(truth_table_from_anf(AnfForm(4, frozenset({0b11}))))
+    assert x1x2 != walsh_spectrum(truth_table_from_anf(AnfForm(4, frozenset({0b101}))))
+    assert x1x2 != WalshSpectrum(2, x1x2.values[:4])
+    assert x1x2.__eq__(x1x2.values) is NotImplemented and x1x2 != "x1x2"
