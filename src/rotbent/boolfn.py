@@ -78,10 +78,10 @@ class AnfForm:
 
     def __post_init__(self):
         _check_n(self.n)
-        monos = frozenset(int(m) for m in self.monomials)
-        for m in monos:
-            if not 0 <= m < 1 << self.n:
-                raise ValueError(f"monomial mask {m} out of range for n={self.n}")
+        monos = frozenset(map(int, self.monomials))
+        if monos and not (0 <= min(monos) and max(monos) < 1 << self.n):
+            bad = next(m for m in monos if not 0 <= m < 1 << self.n)
+            raise ValueError(f"monomial mask {bad} out of range for n={self.n}")
         object.__setattr__(self, "monomials", monos)
 
 
@@ -95,6 +95,12 @@ class AnfForm:
 # h = 2 0.47 / 0.05, h = 8 0.16 / 0.12, h = 16 0.11 / 0.15; uint16 XOR words
 # at n = 20, h = 2 0.22 / 0.02, h = 8 0.06 / 0.03, h = 16 0.03 / 0.06.  Above 8
 # the h passes over the array cost more than the short inner loops save.
+# The loop also needs strided views of at least 64 h entries (blocks, the
+# array's size over 2h): on shorter ones the h calls cost more than the
+# short loops.  Per level, one call against the offset loop, in us: uint16
+# words, h = 2, 16 blocks 3.3 / 3.6, 64 blocks 4.2 / 3.6; h = 8, 256 blocks
+# 7.9 / 13.0, 1024 blocks 21.8 / 17.8.  A 64-word row (a 2^10-entry XOR
+# transform) then takes 6 step calls instead of 17.
 _OFFSET_LOOP_MAX = 8
 
 # Rows larger than this run their low levels block by block (blocks of this
@@ -113,8 +119,9 @@ def _butterfly(a, step, start=1):
     of 2; the levels below it are taken as done) it is seen as blocks of
     2h entries, and step(lo, hi) gets the (blocks, h) views of every block's
     halves and must update them in place.  At the low levels (h up to
-    `_OFFSET_LOOP_MAX`) it is called once per offset j < h on the strided
-    (blocks,) views of entry j of each half instead.  Returns a.  Every
+    `_OFFSET_LOOP_MAX`, with at least 64 h blocks) it is called once per
+    offset j < h on the strided (blocks,) views of entry j of each half
+    instead.  Returns a.  Every
     transform in this package is one such step: XOR (Moebius over GF(2)),
     subtract (Moebius over the integers), add (superset sums) and the signed
     Walsh pair.
@@ -132,7 +139,7 @@ def _butterfly(a, step, start=1):
     for view, h, stop in passes:
         while h < stop:
             v = view.reshape(-1, 2, h)
-            if h <= _OFFSET_LOOP_MAX:
+            if h <= _OFFSET_LOOP_MAX and len(v) >= 64 * h:
                 for j in range(h):
                     step(v[:, 0, j], v[:, 1, j])
             else:
@@ -200,8 +207,8 @@ def _table_bits(monomials, n):
         masks = np.fromiter(monomials, dtype=np.intp)
     except OverflowError:
         raise ValueError(f"monomial mask out of range for n={n}") from None
-    bad = masks[(masks < 0) | (masks >= 1 << n)]
-    if bad.size:
+    if masks.size and not (0 <= masks.min() and masks.max() < 1 << n):
+        bad = masks[(masks < 0) | (masks >= 1 << n)]
         raise ValueError(f"monomial mask {bad[0]} out of range for n={n}")
     ind = np.zeros(1 << n, dtype=np.uint8)
     np.add.at(ind, masks, np.uint8(1))  # a Python 1 takes a 40x slower casting path

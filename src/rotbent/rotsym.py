@@ -20,7 +20,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -122,14 +122,14 @@ class Sanf:
 
     def __post_init__(self):
         _check_n(self.n)
-        reps = tuple(int(r) for r in self.reps)
+        reps = tuple(map(int, self.reps))
         if not reps:
             raise ValueError("a SANF needs at least one representative")
         seen = set()
         for r in reps:
             if not 0 < r < 1 << self.n:
                 raise ValueError(f"representative {r} out of range for n={self.n}")
-            if r != canonical_rep(r, self.n):
+            if r != _canonical_rep(r, self.n):  # n and r checked just above
                 raise ValueError(f"representative {format_monomial(r)} is not canonical")
             if r in seen:
                 raise ValueError(f"duplicate orbit for {format_monomial(r)}")
@@ -159,11 +159,20 @@ def sanf_from_masks(masks, n):
 
 def orbit_expand(sanf):
     """Full ANF of the rotation-symmetric function the SANF describes."""
+    n, full = sanf.n, (1 << sanf.n) - 1
+    if not (0 <= min(sanf.reps) and max(sanf.reps) <= full):
+        _check_mask(next(r for r in sanf.reps if not 0 <= r <= full), n)  # raises
     monos = []
-    for r in sanf.reps:
-        monos.extend(orbit_masks(r, sanf.n))
-    assert len(monos) == len(set(monos))
-    return AnfForm(sanf.n, frozenset(monos))
+    for r in sanf.reps:  # rotate by one until r comes back: each distinct rotation once
+        m = r
+        while True:
+            monos.append(m)
+            m = (m << 1 | m >> (n - 1)) & full
+            if m == r:
+                break
+    anf = AnfForm(n, monos)
+    assert len(anf.monomials) == len(monos)  # the orbits are disjoint
+    return anf
 
 
 def sanf_truth_table(sanf):
@@ -229,5 +238,6 @@ def orbit_count(n, w):
     _check_n(n)
     if not 0 < w <= n:
         raise ValueError(f"weight must be in [1, {n}], got {w}")
-    cycles = [math.gcd(l, n) for l in range(n)]
-    return sum(math.comb(g, w * g // n) for g in cycles if w * g % n == 0) // n
+    # n | w g holds exactly when q = n / gcd(n, w) divides g, that is, divides l
+    q = n // math.gcd(n, w)
+    return sum(math.comb(g, w * g // n) for g in map(math.gcd, range(0, n, q), repeat(n))) // n

@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +53,9 @@ _CHUNK = 1 << 20
 _BLOCK_BITS = 12  # a numpy block walks at least 2^12 Gray indices,
 _BLOCK_WORDS = 1 << 16  # and more while its `low` columns stay within 2^16 words
 _SIEVE = 8  # input orbits at which W(c) of every W(0) survivor is checked
-_STATS = ("candidates", "weight_survivors", "sieve_survivors", "spectral_tests", "hits")
-_STATS += ("tables_s", "walk_s", "sieve_s", "confirm_s")
+# a call's stats, each starting at zero: counts, then stage seconds
+_STATS = {"candidates": 0, "weight_survivors": 0, "sieve_survivors": 0, "spectral_tests": 0}
+_STATS |= {"hits": 0, "tables_s": 0.0, "walk_s": 0.0, "sieve_s": 0.0, "confirm_s": 0.0}
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,8 @@ class _OrbitTables:
         sizes = np.bincount(least)[members]
         del x, least  # 2^n-entry temporaries, freed before the tables are built
         self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
+        half = 1 << (n - 1)  # W(0) = 2^n - 2 weight: the bent weights, none at odd n
+        self.bent_weights = (-1, -1) if n % 2 else (half - self.bent // 2, half + self.bent // 2)
         self.coords = members[np.linspace(1, len(members) - 1, _SIEVE).astype(np.int64)]
         full, short, span = members[sizes == n], members[sizes < n], sizes[sizes < n]
         rots = [m[l < span] for l, m in enumerate(_rotations(short, n))]  # each input once
@@ -209,22 +211,33 @@ class _OrbitTables:
             a.setflags(write=False)  # shared by every search of the layer
 
     def weight(self, rows):
-        """Table weight of each packed table (words on axis 0); int32 holds 2^22."""
+        """Table weight of each packed table (words on axis 0), adding one popcount
+        row at a time: uint16 while 2^n fits (n <= 15), else int32 (2^22 fits).
+
+        On one 15,900-column block at n = 10 d = 4 (3 words) it takes about 31 us
+        of the W(0) filter's 56, against 45 for an int32 `add.reduce` over axis 0."""
         pops = np.bitwise_count(rows)
-        full = np.add.reduce(pops[: self.wf], axis=0, dtype=np.int32)
-        return self.n * full + np.add.reduce(pops[self.wf :], axis=0, dtype=np.int32)
+        weight = np.zeros(rows.shape[1:], np.uint16 if self.n <= 15 else np.int32)
+        for p in pops[: self.wf]:
+            weight += p
+        weight *= self.n
+        for p in pops[self.wf :]:
+            weight += p
+        return weight
 
     def slot_bits(self, rows):
         """0/1 slot bits of packed tables (words on axis 0), one table a row."""
         return np.unpackbits(rows.T.copy().view(np.uint8), -1, self.g, "little")
 
-    def sieve_pass(self, rows):
+    def sieve_pass(self, rows, weights):
         """Whether each packed table's (words on axis 0) |W(c)| is 2^(n/2) at every
         c in `coords`, tested one c at a time on the tables still alive.
 
         W(c) = 4 sum_b 2^b popcount(row & planes[c, b]) - 2 weight(row), exact in
-        int32 since 4 n g < 2^31 at n <= 22."""
-        twice = 2 * self.weight(rows)
+        int32 since 4 n g < 2^31 at n <= 22; `weights` are the tables' weights, as
+        the W(0) filter computed them.  On the 663 W(0) survivors of one n = 10
+        d = 4 block the pass takes about 31 us."""
+        twice = 2 * weights.astype(np.int32)
         scale = np.left_shift(4, np.arange(self.planes.shape[1], dtype=np.int32))
         passed = np.zeros(rows.shape[1], dtype=bool)
         step = max(1, (1 << 17) // self.planes[0].size)  # ANDs of at most 1 MiB at once
@@ -257,23 +270,30 @@ def _walk(orb, lo, hi, stats):
     """Gray walk over subset indices [lo, hi) in blocks of 2^orb.k; returns (subset, Sanf)s.
 
     The Gray code is linear over XOR, so index j0 + off has j0's table XOR
-    column off of `orb.low`.  The sieve reads the W(0) survivors' packed words;
-    only the rows `_confirm_bent` checks are unpacked to slot bits, and it also
-    re-tests the first sieve negative.
+    column off of `orb.low`.  The W(0) filter keeps the tables of a bent weight;
+    the sieve reads their packed words and weights; only the rows `_confirm_bent`
+    checks are unpacked to slot bits, and it also re-tests the first sieve
+    negative.  Stage costs at n = 10 d = 4 (2-core x86 host, best of 9 timed
+    loops): the W(0) filter of a 15,900-column block about 56 us (XOR 16,
+    weight 31, comparison 10), the sieve of its 663 survivors 31 us, and one
+    re-test 106-111 us (SANF 5, expansion 17, table 37, checks 6, spectrum
+    40), a fixed cost per chunk.  Counts and seconds are added into `stats`.
     """
-    n, k, clock = orb.n, orb.k, time.perf_counter
+    k, clock = orb.k, time.perf_counter
+    light, heavy = orb.bent_weights
     hits, left = [], 1  # sieve negatives still to re-test
     for j0 in range(lo >> k << k, hi, 1 << k):
         t0, start, base = clock(), max(lo - j0, 0), j0 ^ (j0 >> 1)
         picked = orb.tables[[i for i in range(base.bit_length()) if base >> i & 1]]
         rows = orb.low[:, start : hi - j0] ^ np.bitwise_xor.reduce(picked)[:, None]
-        keep = np.flatnonzero(np.abs((1 << n) - 2 * orb.weight(rows)) == orb.bent)
+        weights = orb.weight(rows)
+        keep = np.flatnonzero((weights == light) | (weights == heavy))
         t1 = clock()
-        stats.update(walk_s=t1 - t0, weight_survivors=keep.size)
+        stats["walk_s"] += t1 - t0
         if not keep.size:  # nothing to sieve or re-test
             continue
         rows = rows.take(keep, axis=1)  # C order: a fancy index on axis 1 gives F order
-        passed = orb.sieve_pass(rows)
+        passed = orb.sieve_pass(rows, weights[keep])
         tested, retest = np.flatnonzero(passed), np.flatnonzero(~passed)[:left]
         left -= retest.size
         t2, checked = clock(), np.concatenate((tested, retest))
@@ -284,8 +304,11 @@ def _walk(orb, lo, hi, stats):
             if sanf and not passed[i]:
                 raise InternalInconsistencyError(f"sieve rejected bent {format_sanf(sanf)}")
             hits += [(subset, sanf)] if sanf else []
-        stats.update(sieve_survivors=tested.size, spectral_tests=tested.size + retest.size)
-        stats.update(sieve_s=t2 - t1, confirm_s=clock() - t2)
+        stats["weight_survivors"] += keep.size
+        stats["sieve_survivors"] += tested.size
+        stats["spectral_tests"] += checked.size
+        stats["sieve_s"] += t2 - t1
+        stats["confirm_s"] += clock() - t2
     return hits
 
 
@@ -316,9 +339,9 @@ def exhaustive_search(task, checkpoint_path=None):
             f"split into at least {_count_text(shards)} shards or mark the task long-running"
         )
     _check_table_n(n)
-    stats = Counter({k: 0.0 if k.endswith("_s") else 0 for k in _STATS})  # update() adds
+    stats = dict(_STATS)
     orb = _layer_tables(n, task.d)
-    stats.update(tables_s=time.perf_counter() - started)
+    stats["tables_s"] = time.perf_counter() - started
     hits = []
     for chunk_lo in range(lo, hi, _CHUNK) or [lo]:  # an empty shard: one record of [lo, lo)
         chunk_hi = min(chunk_lo + _CHUNK, hi)

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -309,3 +310,78 @@ def test_bit_butterfly_matches_the_plain_kernel_at_large_n(name):
     for n in (16, 18, 20):
         bits, start = bit_inputs(name, n, 0)
         assert np.array_equal(_bit_butterfly(bits, step), _butterfly(start, step))
+
+
+def numpy_level_reference(a, pair):
+    # every level out of place on int64 copies: (blocks, 2, h) halves in, new array out
+    a = a.astype(np.int64)
+    h = 1
+    while h < a.shape[-1]:
+        v = a.reshape(*a.shape[:-1], -1, 2, h)
+        lo, hi = pair(v[..., 0, :].copy(), v[..., 1, :].copy())
+        a = np.stack((lo, hi), axis=-2).reshape(a.shape)
+        h *= 2
+    return a
+
+
+def offset_loop_calls(shape):
+    # step calls `_butterfly` makes: h per level h <= 8 whose strided views hold
+    # at least 64 h blocks (the array's size over 2h), else one per level
+    size, calls, h = int(np.prod(shape)), 0, 1
+    while h < shape[-1]:
+        calls += h if h <= 8 and size // (2 * h) >= 64 * h else 1
+        h *= 2
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_STEPS))
+@pytest.mark.parametrize("k", [0, 3])  # one 1-D row, or a (3, 2^n) batch
+def test_butterfly_matches_the_reference_on_rows_of_2_to_2_16_entries(name, k):
+    step, dtype, (lo, hi), pair = KERNEL_STEPS[name]
+    calls = []
+
+    def counted(lo_view, hi_view):
+        calls.append(1)
+        step(lo_view, hi_view)
+
+    rng = np.random.default_rng(k)
+    for n in range(1, 17):
+        shape = (1 << n,) if k == 0 else (k, 1 << n)
+        a = rng.integers(lo, hi, size=shape, endpoint=True).astype(dtype)
+        want = numpy_level_reference(a, pair)
+        if n <= 6:  # the pure-Python pairing agrees with the numpy one
+            rows = [per_level_reference(row, pair) for row in a.reshape(-1, 1 << n).tolist()]
+            assert np.array_equal(np.array(rows).reshape(shape), want)
+        calls.clear()
+        assert _butterfly(a, counted) is a
+        assert np.array_equal(a.astype(np.int64), want), (name, k, n)
+        assert len(calls) == offset_loop_calls(shape), (name, k, n)
+
+
+@pytest.mark.parametrize("shape, calls", [((64,), 6), ((3, 64), 6), ((1 << 16,), 1 + 2 + 4 + 8 + 12)])
+def test_short_rows_take_one_step_call_per_level(shape, calls):
+    # a 64-word row (the packed words of a 2^10-entry XOR transform) runs its 6
+    # levels in 6 calls; a 2^16-entry row keeps the offset loop at h = 1-8
+    seen = []
+
+    def counted(lo_view, hi_view):
+        seen.append(lo_view.shape)
+        _xor_step(lo_view, hi_view)
+
+    _butterfly(np.zeros(shape, dtype=np.uint16), counted)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("bad", [-1, -(1 << 40), 1 << 5, (1 << 5) + 7])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_bad_mask_is_named_wherever_it_sits(bad, where):
+    # AnfForm and the ANF -> table transform check a range with one min and one
+    # max; the error still names the offending mask, as the per-mask loop did
+    good = [0, 3, 17, 31, 8]
+    masks = {"first": [bad] + good, "middle": good[:2] + [bad] + good[2:], "last": good + [bad]}
+    message = f"monomial mask {bad} out of range for n=5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AnfForm(5, masks[where])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        boolfn._table_bits(masks[where], 5)
+    assert AnfForm(5, good).monomials == frozenset(good)  # the bounds 0 and 31 pass

@@ -191,6 +191,24 @@ def test_spectrum_json_matches_text(n, text, capsys):
     assert json.loads(out) == {"n": n, "sanf": text, "values": values}
 
 
+def test_spectrum_output_is_byte_identical_to_json_dumps_and_join(capsys):
+    # the spectrum is written through its distinct values; the bytes are those
+    # of json.dumps and " ".join over the whole value list, bent or not
+    rng = random.Random(16)
+    for n in range(4, 17, 2):
+        texts = [f"x1x{n // 2 + 1}", "x1x2x3", "x1x2+x1x3x4"]
+        reps = [r for w in (2, 3, 4) for r in enumerate_orbit_reps(n, w)]
+        texts.append(format_sanf(Sanf(n, tuple(rng.sample(reps, 4)))))
+        for text in texts:
+            sanf = parse_sanf(text, n)
+            values = walsh_spectrum(sanf_truth_table(sanf)).values.tolist()
+            want = json.dumps({"n": n, "sanf": format_sanf(sanf), "values": values})
+            code, out, _ = run(["spectrum", "-n", str(n), text, "--format", "json"], capsys)
+            assert (code, out) == (0, want + "\n"), (n, text)
+            code, out, _ = run(["spectrum", "-n", str(n), text], capsys)
+            assert (code, out) == (0, " ".join(map(str, values)) + "\n"), (n, text)
+
+
 @pytest.mark.parametrize(
     "n, text, u, value, v2",
     [

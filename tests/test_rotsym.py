@@ -4,6 +4,7 @@ import math
 import random
 import re
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,6 +236,34 @@ def test_sanf_validation():
 def test_orbit_expand():
     anf = orbit_expand(Sanf(4, (3,)))
     assert anf == AnfForm(4, frozenset({3, 6, 12, 9}))
+
+
+def test_orbit_expand_is_the_union_of_orbit_masks():
+    # every single-orbit SANF at n <= 12, periodic orbits included, then unions
+    for n in range(1, 13):
+        for w in range(1, n + 1):
+            for r in enumerate_orbit_reps(n, w):
+                assert orbit_expand(Sanf(n, (r,))).monomials == frozenset(orbit_masks(r, n))
+    periodic = [(10, "x1x6", 5), (12, "x1x4x7x10", 3), (12, "x1x2x7x8", 6), (12, "x1x2", 12)]
+    for n, text, size in periodic:
+        (r,) = parse_sanf(text, n).reps
+        assert len(orbit_expand(Sanf(n, (r,))).monomials) == cycle_length(r, n) == size
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        reps = [r for w in range(1, n + 1) for r in enumerate_orbit_reps(n, w)]
+        chosen = rng.sample(reps, k=rng.randint(1, min(6, len(reps))))
+        want = frozenset(m for r in chosen for m in orbit_masks(r, n))
+        assert orbit_expand(Sanf(n, tuple(chosen))) == AnfForm(n, want)
+
+
+@pytest.mark.parametrize("bad", [-1, 32, 99])
+def test_orbit_expand_refuses_reps_out_of_range(bad):
+    # a Sanf never holds one, but the expansion checks its reps' range itself
+    # (rotating an out-of-range mask would never come back to it)
+    stand_in = SimpleNamespace(n=5, reps=(1, 3, bad))
+    with pytest.raises(ValueError, match=f"^mask {bad} out of range for n=5$"):
+        orbit_expand(stand_in)
 
 
 def _rotation_symmetric_by_rotate(tt):

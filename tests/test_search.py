@@ -200,6 +200,24 @@ def test_a_benchmark_round_run_twice_enumerates_once(monkeypatch):
     assert seen == [(10, 4)]
 
 
+def test_a_warm_benchmark_round_re_tests_one_sanf_per_non_empty_shard(monkeypatch):
+    # the first eight shards hold W(0) survivors and no sieve survivor, so each
+    # re-tests exactly its first sieve negative; the last eight keep nothing
+    tasks = [SearchTask(10, 4, shard=(i, 256)) for i in range(13, 256, 16)]
+    for task in tasks:
+        exhaustive_search(task)
+    real, calls = search.sanf_truth_table, []
+    monkeypatch.setattr(search, "sanf_truth_table", lambda sanf: calls.append(sanf) or real(sanf))
+    tests = []
+    for task in tasks:
+        before = len(calls)
+        stats = exhaustive_search(task).stats
+        tests.append(len(calls) - before)
+        assert stats["spectral_tests"] == tests[-1] and stats["sieve_survivors"] == 0
+        assert (stats["weight_survivors"] > 0) == (tests[-1] == 1)
+    assert tests == [1] * 8 + [0] * 8
+
+
 def test_each_layer_switch_enumerates_once(monkeypatch):
     seen = _enumerations(monkeypatch)
     layers = [(8, 3), (8, 3), (10, 3), (8, 3), (8, 3), (8, 2), (10, 3), (10, 3)]
@@ -314,8 +332,8 @@ def test_sieve_negative_that_is_bent_is_an_inconsistency(monkeypatch):
     # per-chunk re-test from the SANF must catch it.
     real = search._OrbitTables.sieve_pass
 
-    def reject_all(self, rows):
-        return np.zeros_like(real(self, rows))
+    def reject_all(self, rows, weights):
+        return np.zeros_like(real(self, rows, weights))
 
     monkeypatch.setattr(search._OrbitTables, "sieve_pass", reject_all)
     with pytest.raises(InternalInconsistencyError, match="sieve rejected bent"):
@@ -361,8 +379,8 @@ def test_a_sieve_negative_with_corrupted_orbit_bits_is_an_inconsistency(monkeypa
     # re-test of the first sieve negative would pass, the table check must not
     real_pass, real_bits = search._OrbitTables.sieve_pass, search._OrbitTables.slot_bits
 
-    def reject(self, rows):
-        return np.zeros_like(real_pass(self, rows))
+    def reject(self, rows, weights):
+        return np.zeros_like(real_pass(self, rows, weights))
 
     def corrupt(self, rows):
         bits = real_bits(self, rows).copy()
@@ -393,9 +411,10 @@ def test_orbit_bits_give_weight_and_sieve_values(data):
     tt = sanf_truth_table(sanf)
     orb = search._OrbitTables(n, sanf.reps)
     row = np.bitwise_xor.reduce(orb.tables, axis=0)
-    bits, passed = orb.slot_bits(row[:, None]), orb.sieve_pass(row[:, None])
+    weight = orb.weight(row[:, None])
+    bits, passed = orb.slot_bits(row[:, None]), orb.sieve_pass(row[:, None], weight)
     assert np.array_equal(bits[0], tt.bits[orb.slots]) and is_rotation_symmetric(tt)
-    assert orb.weight(row[:, None])[0] == tt.weight
+    assert weight[0] == tt.weight
     want = walsh_spectrum(tt).values[orb.coords]
     assert np.array_equal(_sieve_values(orb, bits)[0], want)
     assert passed.tolist() == [bool(np.all(np.abs(want) == 1 << (n // 2)))]
@@ -449,9 +468,10 @@ def test_early_exit_sieve_flags_equal_the_all_coordinates_test(n, d, blocks, pas
     flagged = 0
     for b in map(int, starts):
         rows = _block_rows(orb, b << orb.k)
-        keep = np.flatnonzero(np.abs((1 << n) - 2 * orb.weight(rows)) == orb.bent)
-        for part in (rows, rows[:, keep])[b % 8 > 0 :]:
-            bits, passed = orb.slot_bits(part), orb.sieve_pass(part)
+        weights = orb.weight(rows)
+        keep = np.flatnonzero(np.abs((1 << n) - 2 * weights.astype(np.int64)) == orb.bent)
+        for part, w in ((rows, weights), (rows[:, keep], weights[keep]))[b % 8 > 0 :]:
+            bits, passed = orb.slot_bits(part), orb.sieve_pass(part, w)
             assert passed.dtype == bool and passed.shape == (part.shape[1],)
             want = np.all(np.abs(_sieve_values(orb, bits)) == orb.bent, axis=1)
             assert np.array_equal(passed, want), (n, d, b)

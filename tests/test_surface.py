@@ -336,3 +336,67 @@ def test_cli_options_are_fixed():
         for name, sp in sub.choices.items()
     }
     assert got == {name: sorted(opts) for name, opts in want.items()}
+
+
+def _package_functions():
+    """Every function of the package by name; a class name maps to its methods."""
+    defs = {}
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.FunctionDef):
+                defs.setdefault(top.name, []).append(top)
+            elif isinstance(top, ast.ClassDef):
+                methods = [f for f in top.body if isinstance(f, ast.FunctionDef)]
+                defs.setdefault(top.name, []).extend(methods)
+    return defs
+
+
+def test_the_re_test_reads_only_n_reps_and_slots_of_the_orbit_tables():
+    # _confirm_bent is the slow route the fast one is checked against: it reads
+    # the layer's size, representatives and slot inputs, and nothing that the
+    # walk, weight filter or sieve computed.  Statically, over every package
+    # function it can reach by name ...
+    defs = _package_functions()
+    (confirm,) = defs["_confirm_bent"]
+    reads = [
+        n for n in ast.walk(confirm) if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "orb"
+    ]
+    assert {a.attr for a in reads} == {"n", "reps", "slots"}
+    # every other use of the name would hand the whole object on
+    uses = [n for n in ast.walk(confirm) if isinstance(n, ast.Name) and n.id == "orb"]
+    assert len(uses) == len(reads)
+    seen, todo = set(), ["_confirm_bent"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for func in defs[name]:
+            for node in ast.walk(func):
+                ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                todo += [ref] if ref in defs else []
+    assert {"sanf_truth_table", "orbit_expand", "_table_bits", "is_bent", "Sanf"} <= seen
+    layer = {"_OrbitTables", "_layer", "_layer_tables", "_walk"}
+    for name in seen - {"_confirm_bent"}:
+        for func in defs[name]:
+            names = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+            assert not names & (layer | {"orb"}), name
+    # ... and at run time, through a stand-in that records every field read
+    from rotbent import search
+
+    class Reads:
+        def __init__(self, orb):
+            self.orb, self.names = orb, set()
+
+        def __getattr__(self, name):
+            self.names.add(name)
+            return getattr(self.orb, name)
+
+    orb = search._layer_tables(8, 2)
+    stand_in = Reads(orb)
+    verdicts = []
+    for subset in range(1, 1 << len(orb.reps)):
+        sanf = search._subset_sanf(8, orb.reps, subset)
+        bits = search.sanf_truth_table(sanf).bits[orb.slots]
+        verdicts.append(search._confirm_bent(stand_in, subset, bits) is not None)
+    assert sum(verdicts) == 8 and stand_in.names == {"n", "reps", "slots"}
