@@ -44,13 +44,11 @@ from .errors import CapacityError, InternalInconsistencyError
 CAPACITY = 24  # cap on the monomial-list size for `cover_coefficient`'s subset walk
 _ARRAY_N_MAX = 20  # coefficient arrays and witness spectrum checks stop here
 
-INFINITE = math.inf
-
 
 def two_adic_valuation(x):
     """v2(x): exponent of the largest power of 2 dividing x; inf for 0."""
     if x == 0:
-        return INFINITE
+        return math.inf
     x = abs(int(x))
     return (x & -x).bit_length() - 1
 

@@ -1,7 +1,7 @@
 """GF(2)[x] arithmetic on int-encoded polynomials and degree-2 bentness.
 
 A polynomial is a nonnegative int with bit j holding the coefficient of x^j,
-so 0b10011 is x^4 + x + 1.  The zero polynomial has degree None.
+so 0b10011 is x^4 + x + 1.
 
 A homogeneous degree-2 rotation-symmetric function is determined by its set
 of representatives x1 x_e with 2 <= e <= n/2 + 1 (larger e rewrites to the
@@ -26,37 +26,6 @@ import numpy as np
 from .boolfn import _check_n, algebraic_degree
 from .errors import InternalInconsistencyError
 from .rotsym import Sanf, positions, rotate
-
-
-def gf2_degree(p):
-    """Degree of an int-encoded polynomial; None for the zero polynomial."""
-    if p < 0:
-        raise ValueError("polynomials are nonnegative ints")
-    return p.bit_length() - 1 if p else None
-
-
-def gf2_mul(a, b):
-    """Carry-less product."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def gf2_divmod(a, b):
-    """Quotient and remainder of a by b over GF(2)."""
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    db = b.bit_length()
-    q = 0
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
 
 
 def gf2_mod(a, b):

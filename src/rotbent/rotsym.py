@@ -41,11 +41,6 @@ def rotate(u, l, n):
     return ((u << l) | (u >> (n - l))) & ((1 << n) - 1)
 
 
-def cycle_length(u, n):
-    """Smallest l >= 1 with rotate(u, l, n) == u; always a divisor of n."""
-    return len(orbit_masks(u, n))
-
-
 def _rev(u, n):
     """Mask read as the position string u1 u2 ... un, as an integer key."""
     return int(format(u, f"0{n}b")[::-1], 2)

@@ -315,9 +315,9 @@ def _walk(orb, lo, hi, stats):
 def exhaustive_search(task, checkpoint_path=None):
     """Run one search task; returns a SearchResult with SANF-confirmed hits.
 
-    Raises CapacityError before enumerating when the candidate count exceeds
-    `BUDGET` and the task is not long-running (the message names a sufficient
-    shard count), or when n exceeds the full-table cap (22).  After each chunk
+    Raises CapacityError before enumerating when n exceeds the full-table cap
+    (22), or else when the candidate count exceeds `BUDGET` and the task is not
+    long-running (the message names a sufficient shard count).  After each chunk
     of `_CHUNK` indices it builds the record of [lo, chunk_hi), the range done so
     far, and appends it to the checkpoint path if one is given (an empty shard
     writes one record of [lo, lo)); the last record is the result.
@@ -331,6 +331,7 @@ def exhaustive_search(task, checkpoint_path=None):
     """
     n, started = task.n, time.perf_counter()
     lo, hi = _shard_range(task, orbit_count(n, task.d))
+    _check_table_n(n)  # before the budget: no shard count gets a search past the cap
     count = hi - lo
     if count > BUDGET and not task.long_run:
         shards = -(-count // BUDGET)
@@ -338,7 +339,6 @@ def exhaustive_search(task, checkpoint_path=None):
             f"{_count_text(count)} candidates exceed the budget of {BUDGET}: "
             f"split into at least {_count_text(shards)} shards or mark the task long-running"
         )
-    _check_table_n(n)
     stats = dict(_STATS)
     orb = _layer_tables(n, task.d)
     stats["tables_s"] = time.perf_counter() - started

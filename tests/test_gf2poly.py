@@ -21,16 +21,19 @@ from rotbent import (
     sanf_truth_table,
 )
 from rotbent import gf2poly
-from rotbent.gf2poly import gf2_degree, gf2_divmod, gf2_mod, gf2_mul, rank_gf2
+from rotbent.gf2poly import gf2_mod, rank_gf2
 from rotbent.rotsym import sanf_from_masks
 
 
-def test_degree_and_division_refuse_bad_polynomials():
-    assert gf2_degree(0) is None and gf2_degree(0b1011) == 3
-    with pytest.raises(ValueError, match="polynomials are nonnegative ints"):
-        gf2_degree(-1)
-    with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
-        gf2_divmod(0b1011, 0)
+def clmul(a, b):
+    """Carry-less product: the reference the remainder and gcd tests build on."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
 
 
 def test_gcd_hand_cases():
@@ -42,14 +45,13 @@ def test_gcd_hand_cases():
 
 
 def test_divmod_property():
+    # a = q b + r with deg r < deg b (r below b's top bit), so r is a's remainder
     rng = random.Random(71)
     for _ in range(300):
-        a = rng.randrange(1 << 16)
+        q = rng.randrange(1 << 16)
         b = rng.randrange(1, 1 << 12)
-        q, r = gf2_divmod(a, b)
-        assert gf2_mul(q, b) ^ r == a
-        assert gf2_degree(r) < gf2_degree(b) or r == 0
-        assert gf2_mod(a, b) == r
+        r = rng.randrange(1 << (b.bit_length() - 1))
+        assert gf2_mod(clmul(q, b) ^ r, b) == r, (q, b, r)
 
 
 def test_gcd_divides_both():
@@ -62,12 +64,12 @@ def test_gcd_divides_both():
         assert gf2_mod(b, g) == 0
 
 
-def test_mul_distributes():
+def test_gcd_is_the_greatest_common_divisor():
+    # gcd(g a, g b) = g gcd(a, b): a common divisor that misses a factor of g fails
     rng = random.Random(79)
-    for _ in range(200):
-        a, b, c = (rng.randrange(1 << 10) for _ in range(3))
-        assert gf2_mul(a, b ^ c) == gf2_mul(a, b) ^ gf2_mul(a, c)
-        assert gf2_mul(a, b) == gf2_mul(b, a)
+    for _ in range(300):
+        g, a, b = (rng.randrange(1, 1 << 10) for _ in range(3))
+        assert gf2_gcd(clmul(g, a), clmul(g, b)) == clmul(g, gf2_gcd(a, b)), (g, a, b)
 
 
 def test_poly_str():
@@ -180,16 +182,22 @@ def test_classify_rejects_odd_n():
 
 
 def test_mod_matches_divmod():
+    # the edge cases of the division: a = 0, a < b as ints, a = b, and b = 0;
+    # a = b ^ r has b's degree, so a < b as ints does not mean a is reduced
     rng = random.Random(97)
-    pairs = [(0, 1), (0, 0b1011), (0b101, 0b1011), (0b1011, 0b1011), (1, 1)]
+    cases = [(0, 1, 0), (0, 0b1011, 0), (0, 0b1011, 0b101), (1, 0b1011, 0), (1, 1, 0)]
+    cases += [(1, 0b1011, 0b101), (1, 0b1011, 0b010)]  # a = 0b1110 > b, a = 0b1001 < b
     for _ in range(500):
         b = rng.randrange(1, 1 << rng.randint(1, 20))
-        pairs.append((rng.randrange(1 << rng.randint(1, 40)), b))
-        pairs.append((rng.randrange(b), b))  # a < b as ints
-    for a, b in pairs:
-        assert gf2_mod(a, b) == gf2_divmod(a, b)[1], (a, b)
+        low = b.bit_length() - 1
+        cases.append((0, b, rng.randrange(1 << low)))  # a = r < b
+        cases.append((1, b, 0))  # a = b
+        cases.append((1, b, rng.randrange(1 << low)))  # same degree, often a < b
+        cases.append((rng.randrange(1 << rng.randint(1, 20)), b, rng.randrange(1 << low)))
+    for q, b, r in cases:
+        assert gf2_mod(clmul(q, b) ^ r, b) == r, (q, b, r)
     for a in (0, 1, 0b1011):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
             gf2_mod(a, 0)
 
 

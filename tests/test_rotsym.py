@@ -31,7 +31,6 @@ from rotbent.boolfn import TruthTable
 from rotbent.rotsym import (
     _rev,
     bits_to_mask,
-    cycle_length,
     cyclic_run_count,
     is_rotation_symmetric,
     mask_from_positions,
@@ -193,21 +192,21 @@ def test_every_rotsym_cache_is_bounded():
 
 
 def test_cycle_length():
-    assert cycle_length((1 << 6) - 1, 6) == 1
-    assert cycle_length(0b0101, 4) == 2
-    assert cycle_length(0b001001, 6) == 3
-    assert cycle_length(1, 5) == 5
+    # the orbit of u has as many masks as u's least period under rotation
+    assert len(orbit_masks((1 << 6) - 1, 6)) == 1
+    assert len(orbit_masks(0b0101, 4)) == 2
+    assert len(orbit_masks(0b001001, 6)) == 3
+    assert len(orbit_masks(1, 5)) == 5
     # every mask at n <= 10 against rotate: the orbit runs up to the first return
     for n in range(1, 11):
         for u in range(1 << n):
             length = next(l for l in range(1, n + 1) if rotate(u, l, n) == u)
-            assert cycle_length(u, n) == length, (u, n)
             assert orbit_masks(u, n) == [rotate(u, l, n) for l in range(length)], (u, n)
-    # and both refuse what rotate refuses, with the same messages
+    # and orbit_masks refuses what rotate refuses, with the same messages
     cases = [(-1, 5, "mask -1 out of range for n=5"), (1 << 5, 5, "mask 32 out of range for n=5")]
     cases += [(3, bad, f"n must be an int in [1, 30], got {bad!r}") for bad in (0, 31, "6", 6.0)]
     for u, n, message in cases:
-        for fn in (lambda u, n: rotate(u, 1, n), orbit_masks, cycle_length):
+        for fn in (lambda u, n: rotate(u, 1, n), orbit_masks):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 fn(u, n)
 
@@ -247,7 +246,7 @@ def test_orbit_expand_is_the_union_of_orbit_masks():
     periodic = [(10, "x1x6", 5), (12, "x1x4x7x10", 3), (12, "x1x2x7x8", 6), (12, "x1x2", 12)]
     for n, text, size in periodic:
         (r,) = parse_sanf(text, n).reps
-        assert len(orbit_expand(Sanf(n, (r,))).monomials) == cycle_length(r, n) == size
+        assert len(orbit_expand(Sanf(n, (r,))).monomials) == len(orbit_masks(r, n)) == size
     rng = random.Random(12)
     for _ in range(40):
         n = rng.randint(1, 12)
@@ -286,8 +285,9 @@ def test_sanf_truth_table_is_rotation_symmetric():
         bits = tt.bits.copy()
         bits[x] ^= 1
         flipped = TruthTable(n, bits)
-        assert is_rotation_symmetric(flipped) == (cycle_length(x, n) == 1), (n, x)
-        assert _rotation_symmetric_by_rotate(flipped) == (cycle_length(x, n) == 1)
+        fixed = orbit_masks(x, n) == [x]
+        assert is_rotation_symmetric(flipped) == fixed, (n, x)
+        assert _rotation_symmetric_by_rotate(flipped) == fixed
 
 
 def test_is_rotation_symmetric_negative():

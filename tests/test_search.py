@@ -595,10 +595,10 @@ def _refuse_to_enumerate(n, w):
     raise AssertionError(f"enumerated the weight-{w} layer on n={n}")
 
 
-@pytest.mark.parametrize("n, d", [(20, 6), (22, 11), (30, 15)])
+@pytest.mark.parametrize("n, d", [(20, 6), (22, 11)])
 def test_over_budget_search_is_refused_before_enumerating(monkeypatch, capsys, n, d):
-    # 1,944, 32,066 and 5,170,604 representatives: each count overflows a
-    # float, and the last two have decimals past Python's int-to-str limit
+    # 1,944 and 32,066 representatives: each count overflows a float, and the
+    # second has decimals past Python's int-to-str limit
     monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
     with pytest.raises(CapacityError, match="exceed the budget of 16777216"):
         exhaustive_search(SearchTask(n, d))
@@ -646,6 +646,19 @@ def test_search_past_the_table_cap_is_refused_before_any_table(capsys, n):
     assert peak < 1 << 20
     assert main(["search", "-n", str(n), "-d", "1"]) == 2
     assert capsys.readouterr().err == f"error: {_table_cap(n)}\n"
+
+
+@pytest.mark.parametrize("n, d", [(24, 3), (30, 15)])
+def test_over_budget_search_past_the_table_cap_gets_the_cap_message(monkeypatch, capsys, n, d):
+    # 85 and 5,170,604 representatives, far over the budget; a shard count
+    # would be advice that fails, since every shard is refused by the cap too
+    monkeypatch.setattr(search, "enumerate_orbit_reps", _refuse_to_enumerate)
+    for shard in (None, (0, 4)):
+        with pytest.raises(CapacityError, match=f"^{re.escape(_table_cap(n))}$"):
+            exhaustive_search(SearchTask(n, d, shard))
+    for shard in ([], ["--shard", "0/4"]):
+        assert main(["search", "-n", str(n), "-d", str(d), *shard]) == 2
+        assert capsys.readouterr().err == f"error: {_table_cap(n)}\n"
 
 
 def test_unprintable_counts_are_stated_as_powers_of_two():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,69 @@ def test_every_export_is_used_or_an_error_type():
 
 
 def test_export_count_stays_small():
-    assert len(rotbent.__all__) <= 40
+    assert len(rotbent.__all__) <= 38
     assert len(set(rotbent.__all__)) == len(rotbent.__all__)
+
+
+def _named(node, modules):
+    """How often each identifier is named under node.
+
+    A name counts; so do `module.x` for a package module, and an import from
+    the package. An attribute of anything else (`self.n`, `np.take`) and an
+    import from outside are not uses of a package definition.
+    """
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            if sub.level or (sub.module or "").split(".")[0] == "rotbent":
+                names.update(alias.name for alias in sub.names)
+    return names
+
+
+def uncalled_definitions(src):
+    """Module-level defs and classes in `src` named nowhere in it but their own body.
+
+    A re-export in `__init__` counts as a use; rule bodies registered with
+    `@_rule(...)` are reached through the registry and are exempt.
+    """
+    paths = sorted(src.glob("*.py"))
+    modules = {p.stem for p in paths}
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+    named = sum((_named(tree, modules) for tree in trees), Counter())
+    uncalled = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if any(ast.unparse(dec).startswith("_rule(") for dec in node.decorator_list):
+                continue
+            if named[node.name] == _named(node, modules)[node.name]:
+                uncalled.append(node.name)
+    return uncalled
+
+
+def test_library_code_has_a_caller_in_the_library(tmp_path):
+    # a function only tests call is code to delete, not to keep
+    assert uncalled_definitions(ROOT / "src" / "rotbent") == []
+    # a recursive call is no caller; a re-export, a registered rule and a
+    # call through the module are; an attribute or an outside import of the
+    # same name is not
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return used()\n\n\ndef lone():\n    return lone()\n\n\n"
+        "@_rule('r')\ndef body():\n    pass\n\n\nclass Exported:\n    pass\n\n\n"
+        "def weight():\n    pass\n\n\ndef take():\n    pass\n\n\ndef via():\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import numpy as np\nfrom numpy import take\n\nfrom . import a\n\n\n"
+        "def f(x):\n    return x.weight, np.take, a.via\n"
+    )
+    (tmp_path / "__init__.py").write_text("from .a import Exported, used\nfrom .b import f\n")
+    assert uncalled_definitions(tmp_path) == ["lone", "weight", "take"]
 
 
 def test_one_transform_kernel():
