@@ -33,7 +33,7 @@ def _as_table_bits(n, bits):
 
 
 def _check_n(n):
-    if not isinstance(n, int) or not 1 <= n <= N_MAX:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= N_MAX:
         raise ValueError(f"n must be an int in [1, {N_MAX}], got {n!r}")
 
 

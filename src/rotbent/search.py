@@ -5,8 +5,11 @@ the weight-d orbit representatives, walked in Gray-code order in numpy
 blocks of at least 2^12 candidates, wider while a block's tables fit in 2^16
 words.  A rotation-symmetric function is constant on input rotation orbits,
 so a candidate's table is one bit per orbit of size n and one per input of a
-smaller orbit (slot bits).  The W(0) weight filter, then a sieve of exact
-W(c) = 4 odd[c] . bits - 2 weight at a few inputs c (odd[c] counting each
+smaller orbit (slot bits).  A block is skipped when its weights mod n, set
+by the short orbits alone, reach no bent weight (every block at odd n, at
+n = 10 d = 3 and 5 and at n = 14 d = 3); a spot check per chunk weighs one
+skipped table in full.  On the rest, the W(0) weight filter, then a sieve of
+exact W(c) = 4 odd[c] . bits - 2 weight at a few inputs c (odd[c] counting each
 slot's inputs y with <c, y> odd; one c at a time, each candidate dropped at
 its first failing one), then the full spectral test pick the hits; that test
 runs on the table rebuilt from the SANF, after checking it against the slot bits.
@@ -54,8 +57,9 @@ _BLOCK_BITS = 12  # a numpy block walks at least 2^12 Gray indices,
 _BLOCK_WORDS = 1 << 16  # and more while its `low` columns stay within 2^16 words
 _SIEVE = 8  # input orbits at which W(c) of every W(0) survivor is checked
 # a call's stats, each starting at zero: counts, then stage seconds
-_STATS = {"candidates": 0, "weight_survivors": 0, "sieve_survivors": 0, "spectral_tests": 0}
-_STATS |= {"hits": 0, "tables_s": 0.0, "walk_s": 0.0, "sieve_s": 0.0, "confirm_s": 0.0}
+_STATS = dict.fromkeys(("candidates", "residue_skipped", "weight_survivors", "sieve_survivors"), 0)
+_STATS |= dict.fromkeys(("spectral_tests", "hits"), 0)
+_STATS |= dict.fromkeys(("tables_s", "walk_s", "sieve_s", "confirm_s"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,12 @@ class SearchTask:
     long_run: bool = False
 
     def __post_init__(self):
-        if self.shard is not None:
-            i, t = self.shard
-            if not (t >= 1 and 0 <= i < t):
-                raise ValueError("shard must satisfy 0 <= index < total")
+        i, t = (0, 1) if self.shard is None else self.shard
+        for name, value in {"n": self.n, "d": self.d, "shard index": i, "shard total": t}.items():
+            if not isinstance(value, int) or isinstance(value, bool):  # bool is an int subclass
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not (t >= 1 and 0 <= i < t):
+            raise ValueError("shard must satisfy 0 <= index < total")
 
 
 @dataclass(frozen=True)
@@ -167,10 +173,20 @@ class _OrbitTables:
     counting those with <c, y> odd; the slots cover each input once and c != 0,
     so the sums add to 0 and W(c) = 4 odd[c] . bits - 2 weight.  `planes[c, b]`
     packs bit b of odd[c] in the word layout of `tables`.  Both are built one
-    rotation at a time on 2-D (rows x slots) arrays.  Blocks are 2^k columns: as
-    many as keep `low` within `_BLOCK_WORDS` words, at least 2^_BLOCK_BITS and at
-    most 2^len(reps) (k = 14 at n = 10 d = 4, 13 at n = 12 d = 3, 12 on every
-    layer of more than 16 words, such as n >= 14).
+    rotation at a time on 2-D (rows x slots) arrays.
+
+    A weight mod n is the sum of the short orbits' sizes over those its table is
+    1 on.  Within a block only the orbits on which one of `tables[:k]` is 1 vary;
+    `residues[r]` says whether r mod n is a sum of a subset of their sizes, and
+    `fixed` packs the periodic slots of the others (the words from wf on).  So
+    every weight of a block whose base table's periodic words have popcount(words
+    & fixed) = c mod n is c plus a residue, and `skip[c]` says none of those is a
+    bent weight mod n (every c at odd n).  At n = 10 d = 4 the residues are {0}
+    and half the blocks are skipped; at n = 12 and n = 16 d = 3 none is.
+
+    Blocks are 2^k columns: as many as keep `low` within `_BLOCK_WORDS` words, at
+    least 2^_BLOCK_BITS and at most 2^len(reps) (k = 14 at n = 10 d = 4, 13 at
+    n = 12 d = 3, 12 on every layer of more than 16 words, such as n >= 14).
     """
 
     def __init__(self, n, reps):
@@ -181,11 +197,14 @@ class _OrbitTables:
         del x, least  # 2^n-entry temporaries, freed before the tables are built
         self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
         half = 1 << (n - 1)  # W(0) = 2^n - 2 weight: the bent weights, none at odd n
-        self.bent_weights = (-1, -1) if n % 2 else (half - self.bent // 2, half + self.bent // 2)
+        self.bent_weights = () if n % 2 else (half - self.bent // 2, half + self.bent // 2)
         self.coords = members[np.linspace(1, len(members) - 1, _SIEVE).astype(np.int64)]
         full, short, span = members[sizes == n], members[sizes < n], sizes[sizes < n]
         rots = [m[l < span] for l, m in enumerate(_rotations(short, n))]  # each input once
-        pad, periodic = -len(full) % 64, np.sort(np.concatenate(rots))
+        periodic = np.concatenate(rots)
+        orbit = np.concatenate([np.flatnonzero(l < span) for l in range(n)])  # index into short
+        order, pad = np.argsort(periodic), -len(full) % 64
+        periodic, orbit = periodic[order], orbit[order]
         slots = self.slots = np.concatenate((full, np.zeros(pad, full.dtype), periodic))
         cover = np.repeat([n, 0, 1], [len(full), pad, len(periodic)])  # inputs a slot stands for
         self.n, self.g, self.wf, self.reps = n, len(slots), (len(full) + pad) // 64, reps
@@ -201,13 +220,29 @@ class _OrbitTables:
         for m in _rotations(reps, n):  # each distinct rotation comes up mult times
             count[:, : self.g] += (m[:, None] & slots) == m[:, None]
             mult += m == reps
-        self.tables = np.packbits(count // mult[:, None] & 1, -1, bitorder="little").view("<u8")
+        bits = count // mult[:, None] & 1
+        del count
+        self.tables = np.packbits(bits, -1, bitorder="little").view("<u8")
         words = _BLOCK_WORDS // self.tables.shape[1]
         self.k = min(len(reps), max(_BLOCK_BITS, words.bit_length() - 1))
+        p0 = len(full) + pad  # the first periodic slot
+        varying = np.zeros(len(short), dtype=bool)
+        varying[orbit[bits[: self.k, p0 : self.g].any(axis=0)]] = True
+        del bits
+        sums = {0}  # residues mod n of the sums of subsets of the varying orbits' sizes
+        for size in span[varying].tolist():
+            sums |= {(r + size) % n for r in sums}
+        self.residues = np.isin(np.arange(n), list(sums))
+        bent = {w % n for w in self.bent_weights}
+        self.skip = np.array([bent.isdisjoint((c + r) % n for r in sums) for c in range(n)])
+        fixed = np.zeros(64 * self.tables.shape[1] - p0, dtype=bool)  # the periodic words
+        fixed[: self.g - p0] = ~varying[orbit]
+        self.fixed = np.packbits(fixed, bitorder="little").view("<u8")
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
             low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
-        for a in (slots, self.coords, self.planes, self.tables, low):
+        held = (slots, self.coords, self.planes, self.tables, low)
+        for a in held + (self.residues, self.skip, self.fixed):
             a.setflags(write=False)  # shared by every search of the layer
 
     def weight(self, rows):
@@ -266,28 +301,59 @@ def _layer_tables(n, d):
     return _layer[2]
 
 
+def _check_skip(orb, row, col, c):
+    """Weigh column `col` of a skipped block (base table `row`) from the orbit
+    tables: its weight must be c plus a residue in `residues`, and no bent weight,
+    mod n; else the residue data are wrong and the block may hide a survivor.
+    The weight is summed here, not by `weight`: 3 us against 7 on one column at
+    n = 10 d = 4."""
+    n, pops = orb.n, np.bitwise_count(orb.low[:, col] ^ row)
+    w = n * int(pops[: orb.wf].sum()) + int(pops[orb.wf :].sum())
+    if not orb.residues[(w - c) % n] or any((w - b) % n == 0 for b in orb.bent_weights):
+        raise InternalInconsistencyError(
+            f"a block skipped at residue {c} mod {n} holds a table of weight {w}"
+        )
+
+
 def _walk(orb, lo, hi, stats):
     """Gray walk over subset indices [lo, hi) in blocks of 2^orb.k; returns (subset, Sanf)s.
 
     The Gray code is linear over XOR, so index j0 + off has j0's table XOR
-    column off of `orb.low`.  The W(0) filter keeps the tables of a bent weight;
-    the sieve reads their packed words and weights; only the rows `_confirm_bent`
-    checks are unpacked to slot bits, and it also re-tests the first sieve
-    negative.  Stage costs at n = 10 d = 4 (2-core x86 host, best of 9 timed
-    loops): the W(0) filter of a 15,900-column block about 56 us (XOR 16,
-    weight 31, comparison 10), the sieve of its 663 survivors 31 us, and one
-    re-test 106-111 us (SANF 5, expansion 17, table 37, checks 6, spectrum
-    40), a fixed cost per chunk.  Counts and seconds are added into `stats`.
+    column off of `orb.low`.  A block whose base residue c is marked in
+    `orb.skip` is counted in `residue_skipped` and not walked; the first such
+    block of a call (one chunk) goes to `_check_skip`.  On the others the W(0)
+    filter keeps the tables of a bent weight that c + `orb.residues` reaches;
+    the sieve reads their packed words and weights; only the rows
+    `_confirm_bent` checks are unpacked to slot bits, and it also re-tests the
+    first sieve negative.
+    Stage costs at n = 10 d = 4 (2-core x86 host, best of 5 timed loops): the
+    residue of a block about 7 us (its base table 6, residue 1), and a skipped
+    block's spot check 3; the W(0) filter of a 16,384-column block about 54 us
+    (XOR 16, weight 29, comparison 7-9), the sieve of its 663 survivors 31 us,
+    and one re-test 106-111 us (SANF 5, expansion 17, table 37, checks 6,
+    spectrum 40), a fixed cost per chunk.  Counts and seconds are added into
+    `stats`.
     """
-    k, clock = orb.k, time.perf_counter
-    light, heavy = orb.bent_weights
-    hits, left = [], 1  # sieve negatives still to re-test
+    n, k, clock = orb.n, orb.k, time.perf_counter
+    hits, left, spot = [], 1, True  # sieve negatives still to re-test; a skip to spot-check
     for j0 in range(lo >> k << k, hi, 1 << k):
         t0, start, base = clock(), max(lo - j0, 0), j0 ^ (j0 >> 1)
         picked = orb.tables[[i for i in range(base.bit_length()) if base >> i & 1]]
-        rows = orb.low[:, start : hi - j0] ^ np.bitwise_xor.reduce(picked)[:, None]
+        row = np.bitwise_xor.reduce(picked)
+        periodic = zip(row[orb.wf :].tolist(), orb.fixed.tolist())  # Python ints: 1 us, not 3
+        c = sum((a & b).bit_count() for a, b in periodic) % n
+        if orb.skip[c]:
+            end = min(hi - j0, 1 << k)
+            if spot and end > start:
+                _check_skip(orb, row, end - 1, c)
+                spot = False
+            stats["residue_skipped"] += end - start
+            stats["walk_s"] += clock() - t0
+            continue
+        rows = orb.low[:, start : hi - j0] ^ row[:, None]
         weights = orb.weight(rows)
-        keep = np.flatnonzero((weights == light) | (weights == heavy))
+        hit = [weights == w for w in orb.bent_weights if orb.residues[(w - c) % n]]  # reachable
+        keep = np.flatnonzero(functools.reduce(np.logical_or, hit) if hit else ())
         t1 = clock()
         stats["walk_s"] += t1 - t0
         if not keep.size:  # nothing to sieve or re-test
@@ -321,8 +387,9 @@ def exhaustive_search(task, checkpoint_path=None):
     of `_CHUNK` indices it builds the record of [lo, chunk_hi), the range done so
     far, and appends it to the checkpoint path if one is given (an empty shard
     writes one record of [lo, lo)); the last record is the result.
-    `stats` counts candidates, W(0) and sieve survivors, full spectral tests
-    (one re-tested sieve negative per chunk included) and hits, and times stages;
+    `stats` counts candidates, those in residue-skipped blocks, W(0) and sieve
+    survivors, full spectral tests (one re-tested sieve negative per chunk
+    included) and hits, and times stages (a skipped block's in `walk_s`);
     `tables_s` covers the whole per-layer setup, representatives included.
     A layer's representatives and orbit tables are built once per process and
     kept until another layer is searched (about 27 MiB at n = 20 d = 3, 98 MiB

@@ -182,6 +182,15 @@ def test_validation_errors():
         AnfForm(0, frozenset())
 
 
+def test_n_that_is_a_bool_is_refused():
+    # bool is an int subclass: True would pass as n = 1 and fail later
+    for n in (True, False):
+        with pytest.raises(ValueError, match="n must be an int"):
+            TruthTable(n, np.array([0, 1], dtype=np.uint8))
+        with pytest.raises(ValueError, match="n must be an int"):
+            AnfForm(n, frozenset())
+
+
 @pytest.mark.parametrize("n", [24, 30])
 @pytest.mark.parametrize("use", [is_bent, walsh_spectrum, anf_from_truth_table])
 def test_caller_tables_past_the_cap_are_refused_before_reading(use, n):

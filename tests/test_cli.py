@@ -430,11 +430,12 @@ def test_search_text_adds_one_stats_line(capsys):
     assert names == data["bent"] and last == "8 bent / 15 tested"
     assert line.startswith("stats: ")
     fields = dict(kv.split("=") for kv in line[len("stats: ") :].split())
-    counts = ["candidates", "weight_survivors", "sieve_survivors", "spectral_tests", "hits"]
+    counts = ["candidates", "residue_skipped", "weight_survivors", "sieve_survivors"]
+    counts += ["spectral_tests", "hits"]
     stages = ["tables_s", "walk_s", "sieve_s", "confirm_s"]
     assert list(fields) == counts + stages
     assert [int(fields[k]) for k in counts] == [data["stats"][k] for k in counts]
-    assert [int(fields[k]) for k in counts] == [15, 8, 8, 8, 8]
+    assert [int(fields[k]) for k in counts] == [15, 0, 8, 8, 8, 8]
     for k in stages:
         assert re.fullmatch(r"\d+\.\d{3}", fields[k])
 

@@ -37,7 +37,7 @@ from rotbent.rotsym import is_rotation_symmetric, rotate
 from rotbent.search import bent_verdict
 
 # stats counts that partition with the candidate space
-_ADDITIVE = ("candidates", "weight_survivors", "sieve_survivors", "hits")
+_ADDITIVE = ("candidates", "residue_skipped", "weight_survivors", "sieve_survivors", "hits")
 
 
 def test_degree2_search_recovers_the_classification():
@@ -120,6 +120,7 @@ def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
     assert all(o is orb for o in seen) and len(seen) == 3
     assert builds == [(10, None)]
     arrays = [orb.slots, orb.coords, orb.planes, orb.tables, orb.low]
+    arrays += [orb.residues, orb.skip, orb.fixed]
     held = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
     assert {id(a) for a in held} == {id(a) for a in arrays}  # every array the layer holds
     assert not _sieve_rows(orb).sum(axis=1).any()  # every M[c] sums to 0, as sieve_pass assumes
@@ -236,27 +237,28 @@ def test_a_refused_call_enumerates_nothing_and_keeps_the_held_layer(monkeypatch,
     assert seen == [(8, 3)] and search._layer is held
 
 
-# timing-masked records: (n, d, shard), Gray range, W(0) survivors, sieve
-# survivors, spectral tests, bent SANFs and params hash; shard 13/256 is one
-# of the 16 of a search-n10-d4 benchmark round
+# timing-masked records: (n, d, shard), Gray range, residue-skipped candidates,
+# W(0) survivors, sieve survivors, spectral tests, bent SANFs and params hash;
+# shard 13/256 is one of the 16 of a search-n10-d4 benchmark round
 _BENT_8_2 = ["x1x5", "x1x2+x1x5", "x1x3+x1x5", "x1x2+x1x3+x1x5", "x1x4+x1x5"]
 _BENT_8_2 += ["x1x2+x1x4+x1x5", "x1x3+x1x4+x1x5", "x1x2+x1x3+x1x4+x1x5"]
 _PINNED = [
-    ((10, 4, (13, 256)), (212992, 229376), (676, 0, 1), [], "e866e552f013d574"),
-    ((10, 4, (5, 7)), (2995931, 3595117), (5683, 0, 1), [], "cac4b6a828645c51"),
-    ((12, 3, None), (1, 524288), (32878, 27, 28), [], "612e5a487447a652"),
-    ((12, 3, (1, 3)), (174763, 349525), (11310, 8, 9), [], "5e470a1ca843ab7d"),
-    ((12, 4, (3, 1 << 20)), (25165824, 33554432), (6477, 0, 8), [], "376faea7a51f87f1"),
-    ((8, 2, None), (1, 16), (8, 8, 8), _BENT_8_2, "5540a0a96cbeac2a"),
-    ((8, 4, None), (1, 1024), (2, 0, 1), [], "b6125d9364c34c58"),
-    ((9, 3, None), (1, 1024), (0, 0, 0), [], "5ab98cb8ed9bb052"),
+    ((10, 4, (13, 256)), (212992, 229376), (0, 676, 0, 1), [], "e866e552f013d574"),
+    ((10, 4, (5, 7)), (2995931, 3595117), (285549, 5683, 0, 1), [], "cac4b6a828645c51"),
+    ((12, 3, None), (1, 524288), (0, 32878, 27, 28), [], "612e5a487447a652"),
+    ((12, 3, (1, 3)), (174763, 349525), (0, 11310, 8, 9), [], "5e470a1ca843ab7d"),
+    ((12, 4, (3, 1 << 20)), (25165824, 33554432), (0, 6477, 0, 8), [], "376faea7a51f87f1"),
+    ((8, 2, None), (1, 16), (0, 8, 8, 8), _BENT_8_2, "5540a0a96cbeac2a"),
+    ((8, 4, None), (1, 1024), (0, 2, 0, 1), [], "b6125d9364c34c58"),
+    ((9, 3, None), (1, 1024), (1023, 0, 0, 0), [], "5ab98cb8ed9bb052"),
 ]
 
 
 def test_the_benchmark_shard_record_is_pinned():
     # a refactor of the search must leave every one of these records equal
-    for (n, d, shard), (lo, hi), (weight, sieve, spectral), bent, digest in _PINNED:
-        stats = {"candidates": hi - lo, "weight_survivors": weight, "sieve_survivors": sieve}
+    for (n, d, shard), (lo, hi), (skipped, weight, sieve, spectral), bent, digest in _PINNED:
+        stats = {"candidates": hi - lo, "residue_skipped": skipped}
+        stats.update(weight_survivors=weight, sieve_survivors=sieve)
         stats.update(spectral_tests=spectral, hits=len(bent))
         assert _record(exhaustive_search(SearchTask(n, d, shard))) == {
             "n": n,
@@ -270,11 +272,75 @@ def test_the_benchmark_shard_record_is_pinned():
         }, (n, d, shard)
 
 
+def _forced_skip(monkeypatch, n, d, value):
+    """Force the skip table of the held tables of layer (n, d) to `value` everywhere."""
+    monkeypatch.setattr(search._layer_tables(n, d), "skip", np.full(n, value))
+
+
+_WHOLE = [
+    (n, d) for n in range(4, 13) for d in range(1, n + 1) if orbit_count(n, d) <= 24
+]  # every whole layer of 4 <= n <= 12 within the budget: 2^r - 1 <= 2^24 candidates
+_SHARDS = [(10, 4, (i, 256)) for i in range(13, 256, 16)]  # a search-n10-d4 round
+_SHARDS += [
+    (n, d, (i * t // 3, t))
+    for n, d, t in ((12, 4, 1 << 27), (14, 3, 1 << 10), (14, 4, 1 << 57))
+    + ((16, 3, 1 << 19), (18, 3, 1 << 30), (20, 3, 1 << 41))
+    for i in range(3)
+]  # three shards of about 2^16 candidates from each of six larger layers
+
+
+def test_the_residue_skip_changes_no_record(monkeypatch, tmp_path):
+    # each task as shipped and with its layer's skip table forced all-False:
+    # every block walked, compared only against the bent weights it can reach
+    tasks = [SearchTask(n, d) for n, d in _WHOLE] + [SearchTask(*t) for t in _SHARDS]
+    skipped = Counter()
+    for task in tasks:
+        shipped = _records(task, tmp_path / "shipped.jsonl")
+        skipped[task.n, task.d] += shipped[0]["stats"]["residue_skipped"]
+        with monkeypatch.context() as m:
+            _forced_skip(m, task.n, task.d, False)
+            walked = _records(task, tmp_path / "walked.jsonl")
+        assert walked[0]["stats"]["residue_skipped"] == 0
+        assert _unskipped(shipped) == _unskipped(walked), task
+    assert skipped[10, 4] > 0 and skipped[14, 4] > 0
+    assert len(_WHOLE) == 62 and (10, 4) in _WHOLE and (12, 4) not in _WHOLE
+
+
+@pytest.mark.parametrize(
+    "task", [SearchTask(14, 3, long_run=True), SearchTask(10, 5, long_run=True), SearchTask(9, 3)]
+)
+def test_layers_without_a_reachable_bent_weight_skip_every_block(task):
+    # at n = 14 d = 3 and n = 10 d = 5 the short orbits fix the weight mod n
+    # away from both bent weights, and an odd n has none
+    stats = exhaustive_search(task).stats
+    assert stats["candidates"] == (1 << orbit_count(task.n, task.d)) - 1
+    assert stats["residue_skipped"] == stats["candidates"]
+    assert stats["weight_survivors"] == stats["spectral_tests"] == 0
+
+
+def test_a_wrong_skip_is_an_inconsistency(monkeypatch):
+    # shard 13/256 of n = 10 d = 4 is one block with 676 W(0) survivors; forced
+    # to skip, its spot-checked table weighs 356, 6 mod 10 like the bent 496
+    _forced_skip(monkeypatch, 10, 4, True)
+    with pytest.raises(InternalInconsistencyError, match="skipped at residue 6 mod 10"):
+        exhaustive_search(SearchTask(10, 4, (13, 256)))
+    assert main(["search", "-n", "10", "-d", "4", "--shard", "13/256"]) == 3
+
+
 def _records(task, path):
     """The timing-masked result of `task` and of each checkpoint line it writes."""
     path.unlink(missing_ok=True)
     res = exhaustive_search(task, checkpoint_path=str(path))
     return _record(res), [_masked(json.loads(line)) for line in path.read_text().splitlines()]
+
+
+def _unskipped(records):
+    """The result and checkpoint lines of `_records` without `residue_skipped`:
+    what the residue skip must not change."""
+    result, lines = records
+    for d in [result, *lines]:
+        del d["stats"]["residue_skipped"]
+    return result, lines
 
 
 def test_block_width_never_changes_a_record(monkeypatch, tmp_path):
@@ -544,8 +610,10 @@ def test_orbit_tables_keep_no_input_sized_array():
     # the build scans all 2^n inputs, but what it keeps is orbit-sized
     orb = search._OrbitTables(16, enumerate_orbit_reps(16, 3))
     arrays = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 8  # slots, coords, planes, tables, low, residues, skip, fixed
     assert max(max(a.shape) for a in arrays) < 1 << 16
+    assert orb.residues.shape == orb.skip.shape == (16,)
+    assert orb.fixed.shape == (orb.tables.shape[1] - orb.wf,)  # the periodic words
 
 
 @pytest.mark.parametrize(
@@ -717,6 +785,24 @@ def test_task_validation():
         SearchTask(8, 2, shard=(-1, 4))
     with pytest.raises(ValueError):
         SearchTask(8, 2, shard=(0, 0))
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((8, 3, (True, 2)), "shard index"),
+        ((8, 3, (1, 2.0)), "shard total"),
+        ((8, 3, (1.0, 2)), "shard index"),
+        ((8, True), "d"),
+        ((True, 1), "n"),
+        ((8.0, 3), "n"),
+    ],
+)
+def test_task_fields_must_be_ints_and_not_bools(args, field):
+    # (True, 2) would run as shard (1, 2) under another params hash, and
+    # SearchTask(True, 1) used to reach the search and fail in formatting
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+        SearchTask(*args)
 
 
 def test_result_serialization():
