@@ -87,82 +87,66 @@ def cmd_spectrum(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
     values = walsh_spectrum(sanf_truth_table(sanf)).values
-    if args.format == "json":
-        head = json.dumps({"n": n, "sanf": format_sanf(sanf)})[:-1]  # open object
-        print(f'{head}, "values": [', _joined_spectrum(values, n, ", "), "]}", sep="")
-    else:
-        print(_joined_spectrum(values, n, " "))
+    sep = ", " if args.format == "json" else " "
+    _print_rows(args, sanf, _rows(values, n, lambda v: f"{sep}{v}"), sep)
     return 0
 
 
-def _text_table(texts):
-    """ASCII byte strings as the rows of a NUL-padded uint8 array."""
-    table = np.zeros((len(texts), max(map(len, texts))), dtype=np.uint8)
-    for row, text in zip(table, texts):
-        row[: len(text)] = list(text)
-    return table
+def _rows(values, n, text, lead=0):
+    """A NUL-padded uint8 row per entry v of `values` (|v| <= 2^n): `lead`
+    zero columns for the caller to fill, then the bytes of text(v).
 
-
-def _joined_spectrum(values, n, sep):
-    """sep.join(map(str, values)) of a spectrum, whose |W(c)| <= 2^n.
-
-    Each distinct value is formatted once, as sep + digits in a row of
-    `_text_table`; entry c takes the row of its value, ranked densely over
-    [-2^n, 2^n] (no sort), and the padding and the leading sep are dropped.
-    No list of 2^n Python ints is built: at n = 20, `tolist` and json.dumps
-    of that list take about 38 and 141 ms, a whole `spectrum` call about 65.
+    Each distinct value is formatted once, into a row of a small table; entry i
+    takes the row of its value, ranked densely over [-2^n, 2^n] (no sort), and
+    that gather is the one output array.  No list of 2^n Python ints is built:
+    at n = 20, `tolist` and json.dumps of that list take about 38 and 141 ms, a
+    whole `spectrum` call about 65.
     """
     shifted = values + (1 << n)
     present = np.zeros((2 << n) + 1, dtype=bool)
     present[shifted] = True
     rank = np.cumsum(present, dtype=np.int32) - 1
-    distinct = (np.flatnonzero(present) - (1 << n)).tolist()
-    table = _text_table([(sep + str(v)).encode() for v in distinct])
-    out = table[rank[shifted]]
-    return out[out != 0].tobytes().decode()[len(sep) :]
+    texts = [text(v).encode() for v in (np.flatnonzero(present) - (1 << n)).tolist()]
+    table = np.zeros((len(texts), lead + max(map(len, texts))), dtype=np.uint8)
+    for row, t in zip(table, texts):
+        row[lead : lead + len(t)] = list(t)
+    return table[rank[shifted]]
 
 
-def _all_u_rows(n, harr, head, tail, sep):
-    """The `hcoeff --all-u` rows, ordered by weight then value, joined by sep.
-
-    A row is head + u1...un + tail(H, v2).  The tail is formatted once per
-    distinct H (18 of them for x1x2x4 at n = 16), and the rows are laid out
-    as one (2^n, width) byte array of sep + row, NUL-padded after each tail.
-    The padding and the first row's sep are NUL and dropped in one pass.
-    Every character is ASCII.
-    """
-    order = np.lexsort((np.arange(1 << n), _popcounts(n)))  # weight, then value
-    values, inv = np.unique(harr[order], return_inverse=True)
-    table = _text_table(
-        [tail(h, _v2_text(two_adic_valuation(h))).encode() for h in values.tolist()]
-    )
-    lead = (sep + head).encode()
-    p = len(lead)
-    out = np.zeros((1 << n, p + n + table.shape[1]), dtype=np.uint8)
-    out[:, :p] = list(lead)
-    out[0, : len(sep)] = 0
-    bits = np.unpackbits(  # bit j of each mask in column j: u1 first
-        order.astype("<u4").view(np.uint8).reshape(-1, 4), axis=1, bitorder="little"
-    )
-    np.add(bits[:, :n], ord("0"), out=out[:, p : p + n])
-    out[:, p + n :] = table[inv]
-    return out[out != 0].tobytes().decode()
+def _print_rows(args, sanf, rows, sep):
+    """Print `_rows` output whose rows each start with sep, joined, as text or
+    as the "values" of a JSON object.  The padding and the first row's sep are
+    NUL and dropped in one pass; every character is ASCII."""
+    rows[0, : len(sep)] = 0
+    text = rows[rows != 0].tobytes().decode()
+    if args.format == "json":
+        head = json.dumps({"n": args.nvars, "sanf": format_sanf(sanf)})[:-1]  # open object
+        print(f'{head}, "values": [', text, "]}", sep="")
+    else:
+        print(text)
 
 
 def cmd_hcoeff(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
     monos = sorted(orbit_expand(sanf).monomials)
-    if args.all_u:
+    if args.all_u:  # a row is sep + head + u1...un + tail(H, v2), by weight then value
         harr = all_cover_coefficients(monos, n)  # refuses n > 20 before any 2^n array
         if args.format == "json":
-            head = json.dumps({"n": n, "sanf": format_sanf(sanf)})[:-1]  # open object
-            rows = _all_u_rows(
-                n, harr, '{"u": "', lambda h, v: f'", "value": {h}, "v2": {json.dumps(v)}}}', ", "
-            )
-            print(f'{head}, "values": [', rows, "]}", sep="")
+            head, sep = '{"u": "', ", "
+            tail = lambda h, v: f'", "value": {h}, "v2": {json.dumps(v)}}}'
         else:
-            print(_all_u_rows(n, harr, "u=", lambda h, v: f" value={h} v2={v}", "\n"))
+            head, sep, tail = "u=", "\n", lambda h, v: f" value={h} v2={v}"
+        order = np.lexsort((np.arange(1 << n), _popcounts(n)))
+        lead = (sep + head).encode()
+        p = len(lead)  # columns: sep + head, the n bits, then the tail of each distinct H
+        rows = _rows(harr[order], n, lambda h: tail(h, _v2_text(two_adic_valuation(h))), p + n)
+        rows[:, :p] = list(lead)
+        bits = np.unpackbits(  # bit j of each mask in column j: u1 first
+            order.astype("<u4").view(np.uint8).reshape(-1, 4), axis=1, bitorder="little"
+        )
+        np.add(bits[:, :n], ord("0"), out=rows[:, p : p + n])
+        _print_rows(args, sanf, rows, sep)
         return 0
     u = bits_to_mask(args.u, n)
     cv = cover_coefficient(monos, u)

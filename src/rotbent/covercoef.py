@@ -118,9 +118,12 @@ def cover_coefficient(monomials, u):
     H(u) = (-1)^w * (2^w - 2 wt) with wt the weight of the table of that list
     plus x1 ... xw, at any list size.  Past the table cap (w > 22, refused
     before the table is allocated) the literal subset walk takes over, and
-    it refuses lists of more than `CAPACITY` (24) monomials.
+    it refuses lists of more than `CAPACITY` (24) monomials.  A negative u or
+    monomial mask raises ValueError.
     """
     monos = list(monomials)
+    if (low := min([u, *monos])) < 0:  # else dropped from `inside`, or a KeyError
+        raise ValueError(f"mask {low} out of range: masks are nonnegative")
     inside = [m for m in monos if m & ~u == 0]
     pos = [j for j in range(u.bit_length()) if (u >> j) & 1]
     place = {p: i for i, p in enumerate(pos)}

@@ -70,12 +70,17 @@ class SearchTask:
     long_run: bool = False
 
     def __post_init__(self):
-        i, t = (0, 1) if self.shard is None else self.shard
+        try:
+            i, t = (0, 1) if self.shard is None else self.shard
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ValueError(f"shard must be (index, total), got {self.shard!r}") from None
         for name, value in {"n": self.n, "d": self.d, "shard index": i, "shard total": t}.items():
             if not isinstance(value, int) or isinstance(value, bool):  # bool is an int subclass
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if not (t >= 1 and 0 <= i < t):
             raise ValueError("shard must satisfy 0 <= index < total")
+        if self.shard is not None:  # a list would be unhashable and hash to another params_hash
+            object.__setattr__(self, "shard", (i, t))
 
 
 @dataclass(frozen=True)
@@ -180,9 +185,9 @@ class _OrbitTables:
     `residues[r]` says whether r mod n is a sum of a subset of their sizes, and
     `fixed` packs the periodic slots of the others (the words from wf on).  So
     every weight of a block whose base table's periodic words have popcount(words
-    & fixed) = c mod n is c plus a residue, and `skip[c]` says none of those is a
-    bent weight mod n (every c at odd n).  At n = 10 d = 4 the residues are {0}
-    and half the blocks are skipped; at n = 12 and n = 16 d = 3 none is.
+    & fixed) = c mod n is c plus a residue, and `reach[c]` holds the bent weights
+    that are, mod n (none at odd n).  At n = 10 d = 4 the residues are {0} and
+    half the blocks reach none; at n = 12 and n = 16 d = 3 every block reaches one.
 
     Blocks are 2^k columns: as many as keep `low` within `_BLOCK_WORDS` words, at
     least 2^_BLOCK_BITS and at most 2^len(reps) (k = 14 at n = 10 d = 4, 13 at
@@ -192,19 +197,17 @@ class _OrbitTables:
     def __init__(self, n, reps):
         x = np.arange(1 << n, dtype=np.uint32)  # n <= 30
         least = functools.reduce(np.minimum, _rotations(x, n))
+        sizes = np.bincount(least)  # an orbit's size at its least input
+        periodic = np.flatnonzero((sizes < n)[least])  # short orbits' inputs, ascending
         members = np.flatnonzero(least == x)
-        sizes = np.bincount(least)[members]
-        del x, least  # 2^n-entry temporaries, freed before the tables are built
-        self.bent = -1 if n % 2 else 1 << (n // 2)  # every |W(c)| if bent; odd n: never
+        sizes, least = sizes[members], least[periodic]  # of each orbit; of each periodic input
+        del x  # a 2^n-entry temporary, freed before the tables are built
+        self.bent = 1 << (n // 2)  # every |W(c)| if bent
         half = 1 << (n - 1)  # W(0) = 2^n - 2 weight: the bent weights, none at odd n
         self.bent_weights = () if n % 2 else (half - self.bent // 2, half + self.bent // 2)
         self.coords = members[np.linspace(1, len(members) - 1, _SIEVE).astype(np.int64)]
         full, short, span = members[sizes == n], members[sizes < n], sizes[sizes < n]
-        rots = [m[l < span] for l, m in enumerate(_rotations(short, n))]  # each input once
-        periodic = np.concatenate(rots)
-        orbit = np.concatenate([np.flatnonzero(l < span) for l in range(n)])  # index into short
-        order, pad = np.argsort(periodic), -len(full) % 64
-        periodic, orbit = periodic[order], orbit[order]
+        orbit, pad = np.searchsorted(short, least), -len(full) % 64  # index into short
         slots = self.slots = np.concatenate((full, np.zeros(pad, full.dtype), periodic))
         cover = np.repeat([n, 0, 1], [len(full), pad, len(periodic)])  # inputs a slot stands for
         self.n, self.g, self.wf, self.reps = n, len(slots), (len(full) + pad) // 64, reps
@@ -233,8 +236,9 @@ class _OrbitTables:
         for size in span[varying].tolist():
             sums |= {(r + size) % n for r in sums}
         self.residues = np.isin(np.arange(n), list(sums))
-        bent = {w % n for w in self.bent_weights}
-        self.skip = np.array([bent.isdisjoint((c + r) % n for r in sums) for c in range(n)])
+        self.reach = tuple(
+            tuple(w for w in self.bent_weights if (w - c) % n in sums) for c in range(n)
+        )
         fixed = np.zeros(64 * self.tables.shape[1] - p0, dtype=bool)  # the periodic words
         fixed[: self.g - p0] = ~varying[orbit]
         self.fixed = np.packbits(fixed, bitorder="little").view("<u8")
@@ -242,7 +246,7 @@ class _OrbitTables:
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
             low[:, 1 << i : 2 << i] = low[:, (1 << i) - 1 :: -1] ^ self.tables[i, :, None]
         held = (slots, self.coords, self.planes, self.tables, low)
-        for a in held + (self.residues, self.skip, self.fixed):
+        for a in held + (self.residues, self.fixed):
             a.setflags(write=False)  # shared by every search of the layer
 
     def weight(self, rows):
@@ -319,10 +323,10 @@ def _walk(orb, lo, hi, stats):
     """Gray walk over subset indices [lo, hi) in blocks of 2^orb.k; returns (subset, Sanf)s.
 
     The Gray code is linear over XOR, so index j0 + off has j0's table XOR
-    column off of `orb.low`.  A block whose base residue c is marked in
-    `orb.skip` is counted in `residue_skipped` and not walked; the first such
-    block of a call (one chunk) goes to `_check_skip`.  On the others the W(0)
-    filter keeps the tables of a bent weight that c + `orb.residues` reaches;
+    column off of `orb.low`.  A block whose base residue c reaches no bent
+    weight (`orb.reach[c]` is empty) is counted in `residue_skipped` and not
+    walked; the first such block of a call (one chunk) goes to `_check_skip`.
+    On the others the W(0) filter keeps the tables of a weight in `orb.reach[c]`;
     the sieve reads their packed words and weights; only the rows
     `_confirm_bent` checks are unpacked to slot bits, and it also re-tests the
     first sieve negative.
@@ -342,7 +346,8 @@ def _walk(orb, lo, hi, stats):
         row = np.bitwise_xor.reduce(picked)
         periodic = zip(row[orb.wf :].tolist(), orb.fixed.tolist())  # Python ints: 1 us, not 3
         c = sum((a & b).bit_count() for a, b in periodic) % n
-        if orb.skip[c]:
+        reach = orb.reach[c]
+        if not reach:
             end = min(hi - j0, 1 << k)
             if spot and end > start:
                 _check_skip(orb, row, end - 1, c)
@@ -352,8 +357,7 @@ def _walk(orb, lo, hi, stats):
             continue
         rows = orb.low[:, start : hi - j0] ^ row[:, None]
         weights = orb.weight(rows)
-        hit = [weights == w for w in orb.bent_weights if orb.residues[(w - c) % n]]  # reachable
-        keep = np.flatnonzero(functools.reduce(np.logical_or, hit) if hit else ())
+        keep = np.flatnonzero(functools.reduce(np.logical_or, [weights == w for w in reach]))
         t1 = clock()
         stats["walk_s"] += t1 - t0
         if not keep.size:  # nothing to sieve or re-test

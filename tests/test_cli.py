@@ -193,12 +193,15 @@ def test_spectrum_json_matches_text(n, text, capsys):
 
 def test_spectrum_output_is_byte_identical_to_json_dumps_and_join(capsys):
     # the spectrum is written through its distinct values; the bytes are those
-    # of json.dumps and " ".join over the whole value list, bent or not
+    # of json.dumps and " ".join over the whole value list, bent or not; n = 1
+    # and 3 are odd and have fewer than 16 entries
     rng = random.Random(16)
-    for n in range(4, 17, 2):
-        texts = [f"x1x{n // 2 + 1}", "x1x2x3", "x1x2+x1x3x4"]
-        reps = [r for w in (2, 3, 4) for r in enumerate_orbit_reps(n, w)]
-        texts.append(format_sanf(Sanf(n, tuple(rng.sample(reps, 4)))))
+    for n in (1, 3, *range(4, 17, 2)):
+        texts = {1: ["x1"], 3: ["x1x2", "x1x2x3", "x1+x1x2"]}.get(n)
+        if texts is None:
+            texts = [f"x1x{n // 2 + 1}", "x1x2x3", "x1x2+x1x3x4"]
+            reps = [r for w in (2, 3, 4) for r in enumerate_orbit_reps(n, w)]
+            texts.append(format_sanf(Sanf(n, tuple(rng.sample(reps, 4)))))
         for text in texts:
             sanf = parse_sanf(text, n)
             values = walsh_spectrum(sanf_truth_table(sanf)).values.tolist()
@@ -280,6 +283,9 @@ def test_hcoeff_all_u_refuses_before_allocating(capsys):
 @pytest.mark.parametrize(
     "n, text",
     [
+        (1, "x1"),
+        (3, "x1x2"),
+        (3, "x1x2x3"),
         (8, "x1x2x4"),
         (8, "x1x2+x1x3"),
         (9, "x1x2x3+x1x2x5"),
@@ -298,8 +304,10 @@ def test_hcoeff_all_u_matches_a_per_row_reference(n, text, capsys):
         rows.append({"u": mask_to_bits(u, n), "value": int(harr[u]), "v2": v2})
         if v2 == float("inf"):
             rows[-1]["v2"] = "inf"
-    # every case has negative values and H = 0 rows, whose v2 prints as "inf"
-    assert any(r["value"] < 0 for r in rows) and any(r["v2"] == "inf" for r in rows)
+    # every case has negative values, and all past n = 1 (x1: H = 1, -2) have
+    # H = 0 rows, whose v2 prints as "inf"
+    assert any(r["value"] < 0 for r in rows)
+    assert any(r["v2"] == "inf" for r in rows) or n == 1
     want_json = json.dumps({"n": n, "sanf": format_sanf(sanf), "values": rows}) + "\n"
     want_text = "".join(f"u={r['u']} value={r['value']} v2={r['v2']}\n" for r in rows)
     argv = ["hcoeff", "-n", str(n), text, "--all-u"]

@@ -130,6 +130,17 @@ def test_single_monomial():
     assert cover_coefficient([3], 1) == CoverValue(0, math.inf)
 
 
+@pytest.mark.parametrize("u", [3, (1 << 23) - 1])  # the table route, the subset walk
+def test_a_negative_mask_is_refused_on_both_routes(u):
+    # a negative monomial used to drop out of the inside list silently, and a
+    # negative u to raise a bare KeyError; the array route refuses the same list
+    for monos, mask, bad in (([-1, 3], u, -1), ([3, -5], u, -5), ([3], -u, -u)):
+        with pytest.raises(ValueError, match=f"^mask {bad} out of range"):
+            cover_coefficient(monos, mask)
+    with pytest.raises(ValueError, match="mask -1 out of range"):
+        all_cover_coefficients([-1, 3], 2)
+
+
 def test_constant_term_flips_the_empty_slot():
     assert cover_coefficient([0], 0) == CoverValue(-1, 0)
     assert cover_coefficient([0, 3], 0) == CoverValue(-1, 0)

@@ -120,9 +120,10 @@ def test_searches_of_one_layer_share_one_read_only_table_object(monkeypatch):
     assert all(o is orb for o in seen) and len(seen) == 3
     assert builds == [(10, None)]
     arrays = [orb.slots, orb.coords, orb.planes, orb.tables, orb.low]
-    arrays += [orb.residues, orb.skip, orb.fixed]
+    arrays += [orb.residues, orb.fixed]
     held = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
     assert {id(a) for a in held} == {id(a) for a in arrays}  # every array the layer holds
+    assert isinstance(orb.reach, tuple) and all(isinstance(r, tuple) for r in orb.reach)
     assert not _sieve_rows(orb).sum(axis=1).any()  # every M[c] sums to 0, as sieve_pass assumes
     for a in arrays:
         assert not a.flags.writeable
@@ -272,9 +273,11 @@ def test_the_benchmark_shard_record_is_pinned():
         }, (n, d, shard)
 
 
-def _forced_skip(monkeypatch, n, d, value):
-    """Force the skip table of the held tables of layer (n, d) to `value` everywhere."""
-    monkeypatch.setattr(search._layer_tables(n, d), "skip", np.full(n, value))
+def _forced_reach(monkeypatch, n, d, skip):
+    """Force every `reach[c]` of the held tables of layer (n, d): empty if `skip`,
+    else all the bent weights."""
+    orb = search._layer_tables(n, d)
+    monkeypatch.setattr(orb, "reach", ((() if skip else orb.bent_weights),) * n)
 
 
 _WHOLE = [
@@ -290,17 +293,19 @@ _SHARDS += [
 
 
 def test_the_residue_skip_changes_no_record(monkeypatch, tmp_path):
-    # each task as shipped and with its layer's skip table forced all-False:
-    # every block walked, compared only against the bent weights it can reach
+    # each task as shipped and with every reach[c] of its layer forced to all
+    # the bent weights: every block walked (at even n), compared with both
     tasks = [SearchTask(n, d) for n, d in _WHOLE] + [SearchTask(*t) for t in _SHARDS]
     skipped = Counter()
     for task in tasks:
         shipped = _records(task, tmp_path / "shipped.jsonl")
         skipped[task.n, task.d] += shipped[0]["stats"]["residue_skipped"]
         with monkeypatch.context() as m:
-            _forced_skip(m, task.n, task.d, False)
+            _forced_reach(m, task.n, task.d, skip=False)
             walked = _records(task, tmp_path / "walked.jsonl")
-        assert walked[0]["stats"]["residue_skipped"] == 0
+        # an odd n has no bent weight to reach: every block skips either way
+        all_skipped = task.n % 2 and walked[0]["stats"]["candidates"]
+        assert walked[0]["stats"]["residue_skipped"] == all_skipped
         assert _unskipped(shipped) == _unskipped(walked), task
     assert skipped[10, 4] > 0 and skipped[14, 4] > 0
     assert len(_WHOLE) == 62 and (10, 4) in _WHOLE and (12, 4) not in _WHOLE
@@ -321,7 +326,7 @@ def test_layers_without_a_reachable_bent_weight_skip_every_block(task):
 def test_a_wrong_skip_is_an_inconsistency(monkeypatch):
     # shard 13/256 of n = 10 d = 4 is one block with 676 W(0) survivors; forced
     # to skip, its spot-checked table weighs 356, 6 mod 10 like the bent 496
-    _forced_skip(monkeypatch, 10, 4, True)
+    _forced_reach(monkeypatch, 10, 4, skip=True)
     with pytest.raises(InternalInconsistencyError, match="skipped at residue 6 mod 10"):
         exhaustive_search(SearchTask(10, 4, (13, 256)))
     assert main(["search", "-n", "10", "-d", "4", "--shard", "13/256"]) == 3
@@ -610,10 +615,46 @@ def test_orbit_tables_keep_no_input_sized_array():
     # the build scans all 2^n inputs, but what it keeps is orbit-sized
     orb = search._OrbitTables(16, enumerate_orbit_reps(16, 3))
     arrays = [v for v in vars(orb).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8  # slots, coords, planes, tables, low, residues, skip, fixed
+    assert len(arrays) == 7  # slots, coords, planes, tables, low, residues, fixed
     assert max(max(a.shape) for a in arrays) < 1 << 16
-    assert orb.residues.shape == orb.skip.shape == (16,)
+    assert orb.residues.shape == (16,) and len(orb.reach) == 16
     assert orb.fixed.shape == (orb.tables.shape[1] - orb.wf,)  # the periodic words
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_residue_tables_match_a_per_input_orbit_scan(n):
+    # every layer of degree d <= 3: the orbits from `rotate` one input at a
+    # time; a short orbit varies within a block when the table of one of the
+    # block's first k representatives is 1 on it
+    orbits = {}
+    for x in range(1 << n):
+        orbits.setdefault(min(rotate(x, l, n) for l in range(n)), []).append(x)
+    full = sorted(m for m, xs in orbits.items() if len(xs) == n)
+    short = [xs for xs in orbits.values() if len(xs) < n]
+    periodic = sorted(x for xs in short for x in xs)
+    half, bent = 1 << (n - 1), 1 << (n // 2 - 1)
+    bent_weights = () if n % 2 else (half - bent, half + bent)
+    for d in range(1, 4):
+        orb = search._OrbitTables(n, enumerate_orbit_reps(n, d))
+        assert orb.slots.tolist() == full + [0] * (-len(full) % 64) + periodic, (n, d)
+        rots = [{rotate(r, l, n) for l in range(n)} for r in orb.reps[: orb.k]]
+        varies = {}
+        for xs in short:
+            on = any(sum(m & xs[0] == m for m in ms) % 2 for ms in rots)
+            varies.update(dict.fromkeys(xs, on))
+        fixed = np.unpackbits(orb.fixed.view(np.uint8), bitorder="little").tolist()
+        want = [int(not varies[x]) for x in periodic]
+        assert fixed == want + [0] * (len(fixed) - len(want)), (n, d)
+        sums = {0}
+        for xs in short:
+            if varies[xs[0]]:
+                sums |= {(r + len(xs)) % n for r in sums}
+        assert orb.residues.tolist() == [r in sums for r in range(n)], (n, d)
+        reach = [
+            tuple(w for w in bent_weights if any((c + r - w) % n == 0 for r in sums))
+            for c in range(n)
+        ]
+        assert orb.reach == tuple(reach), (n, d)
 
 
 @pytest.mark.parametrize(
@@ -803,6 +844,21 @@ def test_task_fields_must_be_ints_and_not_bools(args, field):
     # SearchTask(True, 1) used to reach the search and fail in formatting
     with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
         SearchTask(*args)
+
+
+@pytest.mark.parametrize("shard", [[0, 2], (0, 2)])
+def test_a_shard_is_stored_as_a_tuple(shard):
+    # a list shard made the frozen task unhashable and recorded another params_hash
+    task = SearchTask(8, 3, shard)
+    assert task.shard == (0, 2) and task == SearchTask(8, 3, (0, 2))
+    assert hash(task) == hash(SearchTask(8, 3, (0, 2)))
+    assert exhaustive_search(task).as_dict()["params_hash"] == "92946f56bafc9e3d"
+
+
+@pytest.mark.parametrize("shard", [(0, 2, 5), (0,), [], 5, "ab/c"])
+def test_a_shard_that_is_not_a_pair_is_refused(shard):
+    with pytest.raises(ValueError, match=r"^shard must be \(index, total\), got "):
+        SearchTask(8, 3, shard)
 
 
 def test_result_serialization():

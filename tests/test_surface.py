@@ -121,6 +121,25 @@ def test_one_transform_kernel():
     assert sites == [("boolfn.py", "_butterfly")]
 
 
+def test_one_cli_row_writer():
+    # `spectrum` and `hcoeff --all-u` lay out their rows with cli._rows, whose
+    # dense rank needs no np.unique sort, and cli._print_rows alone turns a
+    # NUL-padded byte-row table into text (its `.tobytes()`)
+    sites = []
+    tree = ast.parse((ROOT / "src" / "rotbent" / "cli.py").read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("tobytes", "unique")
+            ):
+                sites.append((func.name, node.func.attr))
+    assert sites == [("_print_rows", "tobytes")]
+
+
 def test_one_anf_to_table_transform():
     # boolfn._table_bits alone turns a monomial list into a table: no other
     # function counts monomials into an indicator (a ufunc's `.at`) or hands
