@@ -32,7 +32,6 @@ from .nonexistence import NOT_BENT, RULES
 from .rotsym import (
     bits_to_mask,
     format_sanf,
-    mask_to_bits,
     orbit_expand,
     parse_sanf,
     sanf_truth_table,
@@ -55,31 +54,25 @@ def _v2_text(v):
     return "inf" if v == math.inf else int(v)
 
 
+def _emit(args, record, text):
+    """Print a command's record as one JSON object, or its text view."""
+    print(json.dumps(record) if args.format == "json" else text)
+
+
 def cmd_bent_check(args):
     n = args.nvars
     sanf = parse_sanf(args.sanf, n)
     bent, methods = bent_verdict(sanf)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"n": n, "sanf": format_sanf(sanf), "bent": bent, "methods": methods}
-            )
-        )
-    else:
-        word = "bent" if bent else "not bent"
-        print(f"{format_sanf(sanf)} on n={n}: {word} [{', '.join(methods)}]")
+    record = {"n": n, "sanf": format_sanf(sanf), "bent": bent, "methods": methods}
+    word = "bent" if bent else "not bent"
+    _emit(args, record, f"{record['sanf']} on n={n}: {word} [{', '.join(methods)}]")
     return 0 if bent else 1
 
 
 def cmd_classify_deg2(args):
-    found = classify_degree2(args.nvars)
-    names = [format_sanf(s) for s in found]
-    if args.format == "json":
-        print(json.dumps({"n": args.nvars, "bent": names}))
-    else:
-        for name in names:
-            print(name)
-        print(f"{len(names)} bent degree-2 functions on n={args.nvars}")
+    names = [format_sanf(s) for s in classify_degree2(args.nvars)]
+    text = "\n".join([*names, f"{len(names)} bent degree-2 functions on n={args.nvars}"])
+    _emit(args, {"n": args.nvars, "bent": names}, text)
     return 0
 
 
@@ -148,23 +141,10 @@ def cmd_hcoeff(args):
         np.add(bits[:, :n], ord("0"), out=rows[:, p : p + n])
         _print_rows(args, sanf, rows, sep)
         return 0
-    u = bits_to_mask(args.u, n)
-    cv = cover_coefficient(monos, u)
+    cv = cover_coefficient(monos, bits_to_mask(args.u, n))  # a bad --u is refused here
     v2 = _v2_text(cv.valuation)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": n,
-                    "sanf": format_sanf(sanf),
-                    "u": mask_to_bits(u, n),
-                    "value": cv.value,
-                    "v2": v2,
-                }
-            )
-        )
-    else:
-        print(f"value={cv.value} v2={v2}")
+    record = {"n": n, "sanf": format_sanf(sanf), "u": args.u, "value": cv.value, "v2": v2}
+    _emit(args, record, f"value={cv.value} v2={v2}")
     return 0
 
 
@@ -174,20 +154,13 @@ def cmd_nonexist(args):
     selected = RULES if args.rule == "all" else [r for r in RULES if r[0] == args.rule]
     reports = [(name, fn(sanf)) for name, fn in selected]
     proved = any(rep.verdict == NOT_BENT for _, rep in reports)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": n,
-                    "sanf": format_sanf(sanf),
-                    "not_bent": proved,
-                    "reports": {name: rep.as_dict() for name, rep in reports},
-                }
-            )
-        )
-    else:
-        for name, rep in reports:
-            print(f"{name:14} {rep.text()}")
+    record = {
+        "n": n,
+        "sanf": format_sanf(sanf),
+        "not_bent": proved,
+        "reports": {name: rep.as_dict() for name, rep in reports},
+    }
+    _emit(args, record, "\n".join(f"{name:14} {rep.text()}" for name, rep in reports))
     return 0 if proved else 1
 
 
@@ -205,13 +178,9 @@ def cmd_search(args):
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, args.out)
-    if args.format == "json":
-        print(json.dumps(record))
-    else:
-        for name in record["bent"]:
-            print(name)
-        print("stats:", _stats_text(record["stats"]))
-        print(f"{len(record['bent'])} bent / {record['candidates_tested']} tested")
+    bent, stats = record["bent"], _stats_text(record["stats"])
+    tail = f"{len(bent)} bent / {record['candidates_tested']} tested"
+    _emit(args, record, "\n".join([*bent, f"stats: {stats}", tail]))
     return 0
 
 

@@ -32,6 +32,8 @@ def gf2_mod(a, b):
     """Remainder of a by b over GF(2); no quotient is built."""
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
+    if a < 0 or b < 0:  # a sign-extended int never loses bits under XOR
+        raise ValueError(f"negative polynomial {min(a, b)}")
     db = b.bit_length()
     while (shift := a.bit_length() - db) >= 0:
         a ^= b << shift
@@ -47,6 +49,8 @@ def gf2_gcd(a, b):
 
 def poly_str(p):
     """Readable form, highest degree first: 'x^4 + x + 1'."""
+    if p < 0:
+        raise ValueError(f"negative polynomial {p}")
     if p == 0:
         return "0"
     terms = []

@@ -216,6 +216,7 @@ def format_sanf(sanf):
 
 def mask_to_bits(u, n):
     """Render a mask as the 0/1 position string u1 u2 ... un."""
+    _check_mask(u, n)
     return "".join(str((u >> j) & 1) for j in range(n))
 
 

@@ -77,6 +77,8 @@ class SearchTask:
         for name, value in {"n": self.n, "d": self.d, "shard index": i, "shard total": t}.items():
             if not isinstance(value, int) or isinstance(value, bool):  # bool is an int subclass
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.long_run, bool):  # "no" would be truthy and lift the budget
+            raise ValueError(f"long_run must be a bool, got {self.long_run!r}")
         if not (t >= 1 and 0 <= i < t):
             raise ValueError("shard must satisfy 0 <= index < total")
         if self.shard is not None:  # a list would be unhashable and hash to another params_hash

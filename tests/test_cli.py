@@ -135,6 +135,63 @@ def test_degree2_bent_check_past_the_table_cap(capsys, n):
     assert seen == {True, False}
 
 
+def _text_view(command, record):
+    """The text a command prints, rendered from its JSON record as the README's
+    "Command line" section documents it."""
+    if command == "bent-check":
+        word = "bent" if record["bent"] else "not bent"
+        return [f"{record['sanf']} on n={record['n']}: {word} [{', '.join(record['methods'])}]"]
+    if command == "classify-deg2":
+        names = record["bent"]
+        return [*names, f"{len(names)} bent degree-2 functions on n={record['n']}"]
+    if command == "hcoeff":
+        return [f"value={record['value']} v2={record['v2']}"]
+    if command == "nonexist":
+        rows = []
+        for name, rep in record["reports"].items():
+            parts = [f"{rep['verdict']} rule={rep['rule']}"]
+            if rep["witness_u0"] is not None:
+                parts += [f"u0={rep['witness_u0']}", f"k={rep['witness_k']}"]
+                parts += [f"v2={rep['claimed_valuation']}"]
+            parts += [f"({rep['detail']})"] if rep["detail"] else []
+            rows.append(f"{name:14} {' '.join(parts)}")
+        return rows
+    stats = " ".join(
+        f"{k}={v:.3f}" if k.endswith("_s") else f"{k}={v}" for k, v in record["stats"].items()
+    )
+    tail = f"{len(record['bent'])} bent / {record['candidates_tested']} tested"
+    return [*record["bent"], f"stats: {stats}", tail]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bent-check -n 6 x1x4",
+        "bent-check -n 6 x1x2x3+x1x2x4",
+        "classify-deg2 -n 8",
+        "hcoeff -n 2 x1x2 --u 10",
+        "hcoeff -n 8 x1x2x3+x1x2x4 --u 11110000",
+        "nonexist -n 12 x1x2x3",
+        "nonexist -n 10 x1x2x3+x1x2x4",
+        "nonexist -n 12 x1x2x3 --rule gap-bounds",
+        "nonexist -n 12 x1x2x3 --rule block-pair",
+        "search -n 8 -d 2",
+        "search -n 10 -d 4 --shard 3/64",
+    ],
+)
+def test_text_is_a_view_of_the_json_record(argv, capsys):
+    # one record per command: --format json prints it as one line, and text
+    # mode prints its documented rendering with the same exit code
+    argv = argv.split()
+    code, text, _ = run(argv, capsys)
+    json_code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == json_code and code in (0, 1)
+    assert out.endswith("}\n") and out.count("\n") == 1
+    want = "\n".join(_text_view(argv[0], json.loads(out))) + "\n"
+    seconds = re.compile(r"(?<=_s=)\d+\.\d{3}\b")  # a search's stage seconds differ by run
+    assert seconds.sub("S", text) == seconds.sub("S", want)
+
+
 def test_classify_text(capsys):
     code, out, _ = run(["classify-deg2", "-n", "8"], capsys)
     assert code == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -199,6 +200,26 @@ def test_mod_matches_divmod():
     for a in (0, 1, 0b1011):
         with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
             gf2_mod(a, 0)
+
+
+@pytest.mark.parametrize(
+    "call, args, negative",
+    [(gf2_mod, (3, -1), -1), (gf2_mod, (-5, 3), -5), (gf2_gcd, (-1, 3), -1), (poly_str, (-6,), -6)],
+)
+def test_a_negative_polynomial_is_refused(call, args, negative):
+    # XOR with a sign-extended int never lowers its bit length, so the
+    # remainder loop would not end: the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError(f"{call.__name__}{args} did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=rf"^negative polynomial {negative}$"):
+            call(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("n", [18, 20, 22, 24, 26, 28, 30])

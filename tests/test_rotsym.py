@@ -359,6 +359,10 @@ def test_mask_bits_strings():
         bits_to_mask("110", 4)
     with pytest.raises(ValueError):
         bits_to_mask("1102", 4)
+    # a mask past n bits, a negative mask and n = 0 have no position string
+    for u, n in [(16, 4), (-1, 4), (5, 0)]:
+        with pytest.raises(ValueError, match="out of range|n must be an int"):
+            mask_to_bits(u, n)
 
 
 def test_mask_from_positions():

@@ -861,6 +861,13 @@ def test_a_shard_that_is_not_a_pair_is_refused(shard):
         SearchTask(8, 3, shard)
 
 
+@pytest.mark.parametrize("long_run", ["no", 1, None])
+def test_long_run_must_be_a_bool(long_run):
+    # "no" is truthy: it would lift the budget over all 2^35 - 1 candidates
+    with pytest.raises(ValueError, match=rf"^long_run must be a bool, got {long_run!r}$"):
+        SearchTask(16, 3, long_run=long_run)
+
+
 def test_result_serialization():
     res = exhaustive_search(SearchTask(6, 2))
     d = res.as_dict()

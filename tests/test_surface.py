@@ -140,6 +140,28 @@ def test_one_cli_row_writer():
     assert sites == [("_print_rows", "tobytes")]
 
 
+def test_one_cli_output_path():
+    # a command hands its record and its text to cli._emit, which alone picks
+    # between them by --format; `spectrum` and `hcoeff --all-u` read the format
+    # to lay out their byte rows, and main prints only its errors, to stderr
+    tree = ast.parse((ROOT / "src" / "rotbent" / "cli.py").read_text(encoding="utf-8"))
+    prints, formats, stdout = set(), set(), []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+                dest = [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"]
+                prints.add((func.name, *dest))
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "args.format":
+                formats.add(func.name)
+            if isinstance(node, ast.Attribute) and node.attr == "stdout":
+                stdout.append(func.name)
+    assert sorted(prints) == [("_emit",), ("_print_rows",), ("main", "sys.stderr")]
+    assert sorted(formats) == ["_emit", "_print_rows", "cmd_hcoeff", "cmd_spectrum"]
+    assert stdout == []
+
+
 def test_one_anf_to_table_transform():
     # boolfn._table_bits alone turns a monomial list into a table: no other
     # function counts monomials into an indicator (a ufunc's `.at`) or hands
