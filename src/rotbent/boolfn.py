@@ -11,6 +11,7 @@ immutable after construction and safe to share across threads.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +20,6 @@ from .errors import CapacityError
 
 N_MAX = 30  # construction cap; tables beyond this are not materializable anyway
 _TABLE_N_MAX = 22  # full 2^n tables (truth tables, spectra, search orbit tables) stop here
-
-
-def _as_table_bits(n, bits):
-    a = np.asarray(bits, dtype=np.uint8)
-    if a.ndim != 1 or a.size != 1 << n:
-        raise ValueError(f"truth table for n={n} needs exactly {1 << n} entries")
-    if a.max(initial=0) > 1:
-        raise ValueError("truth table entries must be 0 or 1")
-    a = a.copy()
-    a.flags.writeable = False
-    return a
 
 
 def _check_n(n):
@@ -43,6 +33,24 @@ def _check_table_n(n):
         raise CapacityError(f"full 2^n tables are limited to n <= {_TABLE_N_MAX}, got n={n}")
 
 
+def _check_mask(u, n, low=0):
+    """u as an exact int in [low, 2^n): a float or a str is a TypeError, else ValueError."""
+    _check_n(n)
+    u = operator.index(u)
+    if not low <= u < 1 << n:
+        raise ValueError(f"mask {u} out of range for n={n}")
+    return u
+
+
+def _check_masks(monomials, n):
+    """A monomial list as exact ints in [0, 2^n); a ValueError names the first outside."""
+    masks = list(map(operator.index, monomials))
+    if masks and not (0 <= min(masks) and max(masks) < 1 << n):
+        bad = next(m for m in masks if not 0 <= m < 1 << n)
+        raise ValueError(f"monomial mask {bad} out of range for n={n}")
+    return masks
+
+
 @dataclass(frozen=True, eq=False)
 class TruthTable:
     """Value table of a Boolean function on n variables."""
@@ -53,7 +61,13 @@ class TruthTable:
     def __post_init__(self):
         _check_n(self.n)
         _check_table_n(self.n)  # before the caller's bits are read or copied
-        object.__setattr__(self, "bits", _as_table_bits(self.n, self.bits))
+        bits = np.array(self.bits, dtype=np.uint8)  # a copy
+        if bits.ndim != 1 or bits.size != 1 << self.n:
+            raise ValueError(f"truth table for n={self.n} needs exactly {1 << self.n} entries")
+        if bits.max(initial=0) > 1:
+            raise ValueError("truth table entries must be 0 or 1")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     @property
     def weight(self):
@@ -78,11 +92,7 @@ class AnfForm:
 
     def __post_init__(self):
         _check_n(self.n)
-        monos = frozenset(map(int, self.monomials))
-        if monos and not (0 <= min(monos) and max(monos) < 1 << self.n):
-            bad = next(m for m in monos if not 0 <= m < 1 << self.n)
-            raise ValueError(f"monomial mask {bad} out of range for n={self.n}")
-        object.__setattr__(self, "monomials", monos)
+        object.__setattr__(self, "monomials", frozenset(_check_masks(self.monomials, self.n)))
 
 
 # Levels with h <= this run one step call per offset j in the block.  A
@@ -203,13 +213,7 @@ def _bit_butterfly(bits, step):
 def _table_bits(monomials, n):
     """0/1 table of a monomial list's sum: the one ANF -> table transform."""
     _check_table_n(n)
-    try:
-        masks = np.fromiter(monomials, dtype=np.intp)
-    except OverflowError:
-        raise ValueError(f"monomial mask out of range for n={n}") from None
-    if masks.size and not (0 <= masks.min() and masks.max() < 1 << n):
-        bad = masks[(masks < 0) | (masks >= 1 << n)]
-        raise ValueError(f"monomial mask {bad[0]} out of range for n={n}")
+    masks = np.array(_check_masks(monomials, n), dtype=np.intp)
     ind = np.zeros(1 << n, dtype=np.uint8)
     np.add.at(ind, masks, np.uint8(1))  # a Python 1 takes a 40x slower casting path
     ind &= 1  # repeats cancel in pairs: the uint8 count wraps with its parity kept

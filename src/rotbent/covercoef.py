@@ -34,11 +34,12 @@ H & (2^k - 1) == 0.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import _bit_butterfly, _butterfly, _table_bits
+from .boolfn import _bit_butterfly, _butterfly, _check_mask, _table_bits
 from .errors import CapacityError, InternalInconsistencyError
 
 CAPACITY = 24  # cap on the monomial-list size for `cover_coefficient`'s subset walk
@@ -118,10 +119,11 @@ def cover_coefficient(monomials, u):
     H(u) = (-1)^w * (2^w - 2 wt) with wt the weight of the table of that list
     plus x1 ... xw, at any list size.  Past the table cap (w > 22, refused
     before the table is allocated) the literal subset walk takes over, and
-    it refuses lists of more than `CAPACITY` (24) monomials.  A negative u or
-    monomial mask raises ValueError.
+    it refuses lists of more than `CAPACITY` (24) monomials.  Masks are read
+    as exact ints: a float or a str raises TypeError, a negative u or monomial
+    mask ValueError.
     """
-    monos = list(monomials)
+    u, monos = operator.index(u), list(map(operator.index, monomials))
     if (low := min([u, *monos])) < 0:  # else dropped from `inside`, or a KeyError
         raise ValueError(f"mask {low} out of range: masks are nonnegative")
     inside = [m for m in monos if m & ~u == 0]
@@ -149,8 +151,7 @@ def cover_coefficient(monomials, u):
 def cover_coefficient_from_spectrum(spectrum, u):
     """H(u) recovered from the Walsh spectrum; the 2-power must divide exactly."""
     n = spectrum.n
-    if not 0 <= u < 1 << n:
-        raise ValueError(f"mask {u} out of range for n={n}")
+    u = _check_mask(u, n)
     idx = np.array([u], dtype=np.int64)
     for j in range(n):  # double the index set by every bit outside u
         if not (u >> j) & 1:

@@ -44,6 +44,8 @@ def gf2_gcd(a, b):
     """Euclidean gcd; by GF(2) convention the result is its own normalization."""
     while b:
         a, b = b, gf2_mod(a, b)
+    if a < 0:  # b was 0 from the start, so gf2_mod never saw a
+        raise ValueError(f"negative polynomial {a}")
     return a
 
 

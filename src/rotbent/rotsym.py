@@ -10,33 +10,28 @@ always has a 1 in position 1.
 
 `canonical_rep` and `positions` are memoised in bounded LRU caches: SANF
 validation, parsing and formatting meet the same few masks over and over.
-Arguments are validated before the cache is consulted, so bad input raises
-on every call.  `enumerate_orbit_reps` does not fill that memo: it takes a
-layer's masks with position 1 as one numpy array and keeps each one's largest
-rotation.
+A refusal is never cached, and `positions` keys its memo by type (3.0 must
+not find the entry of 3), so bad input raises on every call.
+`enumerate_orbit_reps` does not fill that memo: it takes a layer's masks with
+position 1 as one numpy array and keeps each one's largest rotation.
 """
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from itertools import combinations, repeat
 
 import numpy as np
 
-from .boolfn import AnfForm, _check_n, truth_table_from_anf
+from .boolfn import AnfForm, _check_mask, _check_n, truth_table_from_anf
 from .errors import InternalInconsistencyError
-
-
-def _check_mask(u, n):
-    _check_n(n)
-    if not 0 <= u < 1 << n:
-        raise ValueError(f"mask {u} out of range for n={n}")
 
 
 def rotate(u, l, n):
     """Rotate the monomial mask u by l positions (position p -> p+l mod n)."""
-    _check_mask(u, n)
+    u = _check_mask(u, n)
     l %= n
     return ((u << l) | (u >> (n - l))) & ((1 << n) - 1)
 
@@ -48,8 +43,7 @@ def _rev(u, n):
 
 def orbit_masks(u, n):
     """All distinct rotations of u, in rotation order starting from u."""
-    _check_mask(u, n)
-    return list(dict.fromkeys(_rotations(u, n)))
+    return list(dict.fromkeys(_rotations(_check_mask(u, n), n)))
 
 
 def _rotations(a, n):
@@ -66,10 +60,7 @@ def _canonical_rep(u, n):  # position strings compare as reversed masks
 
 def canonical_rep(u, n):
     """Canonical orbit representative (lexicographically largest position string)."""
-    _check_n(n)
-    if not 0 < u < 1 << n:
-        raise ValueError(f"mask {u} has no canonical representative for n={n}")
-    return _canonical_rep(u, n)
+    return _canonical_rep(_check_mask(u, n, low=1), n)
 
 
 def cyclic_run_count(u, n):
@@ -93,9 +84,11 @@ def enumerate_orbit_reps(n, w):
     return [_rev(k, n) for k in sorted(keys, reverse=True)]
 
 
-@functools.lru_cache(maxsize=1 << 14)
+@functools.lru_cache(maxsize=1 << 14, typed=True)
 def positions(u):
     """1-based variable indices of a monomial mask, ascending."""
+    if (u := operator.index(u)) < 0:
+        raise ValueError(f"mask {u} out of range: masks are nonnegative")
     return tuple(j + 1 for j in range(u.bit_length()) if (u >> j) & 1)
 
 
@@ -117,7 +110,7 @@ class Sanf:
 
     def __post_init__(self):
         _check_n(self.n)
-        reps = tuple(map(int, self.reps))
+        reps = tuple(map(operator.index, self.reps))
         if not reps:
             raise ValueError("a SANF needs at least one representative")
         seen = set()
@@ -127,7 +120,7 @@ class Sanf:
             if r != _canonical_rep(r, self.n):  # n and r checked just above
                 raise ValueError(f"representative {format_monomial(r)} is not canonical")
             if r in seen:
-                raise ValueError(f"duplicate orbit for {format_monomial(r)}")
+                raise ValueError(f"two monomials share the orbit of {format_monomial(r)}")
             seen.add(r)
         object.__setattr__(self, "reps", reps)
 
@@ -143,13 +136,7 @@ class Sanf:
 
 def sanf_from_masks(masks, n):
     """Build a Sanf from arbitrary monomial masks, canonicalizing each."""
-    reps = {}  # insertion-ordered set
-    for m in masks:
-        c = canonical_rep(m, n)
-        if c in reps:
-            raise ValueError(f"two monomials share the orbit of {format_monomial(c)}")
-        reps[c] = None
-    return Sanf(n, tuple(reps))
+    return Sanf(n, tuple(canonical_rep(m, n) for m in masks))
 
 
 def orbit_expand(sanf):
@@ -216,7 +203,7 @@ def format_sanf(sanf):
 
 def mask_to_bits(u, n):
     """Render a mask as the 0/1 position string u1 u2 ... un."""
-    _check_mask(u, n)
+    u = _check_mask(u, n)
     return "".join(str((u >> j) & 1) for j in range(n))
 
 

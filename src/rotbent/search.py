@@ -208,8 +208,8 @@ class _OrbitTables:
         half = 1 << (n - 1)  # W(0) = 2^n - 2 weight: the bent weights, none at odd n
         self.bent_weights = () if n % 2 else (half - self.bent // 2, half + self.bent // 2)
         self.coords = members[np.linspace(1, len(members) - 1, _SIEVE).astype(np.int64)]
-        full, short, span = members[sizes == n], members[sizes < n], sizes[sizes < n]
-        orbit, pad = np.searchsorted(short, least), -len(full) % 64  # index into short
+        full = members[sizes == n]
+        pad = -len(full) % 64
         slots = self.slots = np.concatenate((full, np.zeros(pad, full.dtype), periodic))
         cover = np.repeat([n, 0, 1], [len(full), pad, len(periodic)])  # inputs a slot stands for
         self.n, self.g, self.wf, self.reps = n, len(slots), (len(full) + pad) // 64, reps
@@ -231,18 +231,17 @@ class _OrbitTables:
         words = _BLOCK_WORDS // self.tables.shape[1]
         self.k = min(len(reps), max(_BLOCK_BITS, words.bit_length() - 1))
         p0 = len(full) + pad  # the first periodic slot
-        varying = np.zeros(len(short), dtype=bool)
-        varying[orbit[bits[: self.k, p0 : self.g].any(axis=0)]] = True
+        varying = bits[: self.k, p0 : self.g].any(axis=0)  # a table is constant on an orbit
         del bits
         sums = {0}  # residues mod n of the sums of subsets of the varying orbits' sizes
-        for size in span[varying].tolist():
+        for size in np.unique(least[varying], return_counts=True)[1].tolist():
             sums |= {(r + size) % n for r in sums}
         self.residues = np.isin(np.arange(n), list(sums))
         self.reach = tuple(
             tuple(w for w in self.bent_weights if (w - c) % n in sums) for c in range(n)
         )
         fixed = np.zeros(64 * self.tables.shape[1] - p0, dtype=bool)  # the periodic words
-        fixed[: self.g - p0] = ~varying[orbit]
+        fixed[: self.g - p0] = ~varying
         self.fixed = np.packbits(fixed, bitorder="little").view("<u8")
         low = self.low = np.zeros((self.tables.shape[1], 1 << self.k), dtype=np.uint64)
         for i in range(self.k):  # reflected Gray code: the second half mirrors the first
@@ -431,19 +430,23 @@ def exhaustive_search(task, checkpoint_path=None):
 
 def bent_verdict(sanf):
     """(bent, methods) of a SANF by every route that takes it: walsh (n <= 22),
-    valuation (even n <= 20), and gcd and rank at any n for homogeneous degree 2.
+    valuation (even n <= 20), gcd (even n) and rank for homogeneous degree 2.
 
-    A route that raises ValueError or CapacityError is left out.  Raises
-    CapacityError when none is left, InternalInconsistencyError when they disagree.
+    Only a route past its cap (CapacityError) is left out.  Raises CapacityError
+    when none is left, InternalInconsistencyError when they disagree.
     """
     anf = orbit_expand(sanf)
+    even, quadratic = sanf.n % 2 == 0, sanf.homogeneous_degree == 2
     routes = {"walsh": lambda: is_bent(sanf_truth_table(sanf))}
-    routes["valuation"] = lambda: bent_by_valuation(anf)
-    if sanf.homogeneous_degree == 2:
-        routes.update(gcd=lambda: is_bent_degree2_rots(sanf), rank=lambda: is_bent_quadratic(anf))
+    if even:
+        routes["valuation"] = lambda: bent_by_valuation(anf)
+    if even and quadratic:
+        routes["gcd"] = lambda: is_bent_degree2_rots(sanf)
+    if quadratic:
+        routes["rank"] = lambda: is_bent_quadratic(anf)
     verdicts = {}
     for method, route in routes.items():
-        with contextlib.suppress(ValueError, CapacityError):
+        with contextlib.suppress(CapacityError):
             verdicts[method] = route()
     if not verdicts:
         raise CapacityError(f"no bentness route is feasible at n={sanf.n}")

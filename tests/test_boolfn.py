@@ -13,16 +13,23 @@ from hypothesis import strategies as st
 from rotbent import (
     AnfForm,
     CapacityError,
+    Sanf,
     algebraic_degree,
     all_cover_coefficients,
     anf_from_truth_table,
     boolfn,
+    canonical_rep,
+    cover_coefficient,
+    format_monomial,
     is_bent,
+    mask_to_bits,
+    orbit_masks,
     truth_table_from_anf,
     walsh_spectrum,
 )
 from rotbent.boolfn import TruthTable, _bit_butterfly, _butterfly, _xor_step
-from rotbent.covercoef import _mobius_sub, _superset_sums
+from rotbent.covercoef import _mobius_sub, _superset_sums, cover_coefficient_from_spectrum
+from rotbent.rotsym import rotate, sanf_from_masks
 from rotbent.walsh import _signed_step
 
 
@@ -394,3 +401,63 @@ def test_a_bad_mask_is_named_wherever_it_sits(bad, where):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         boolfn._table_bits(masks[where], 5)
     assert AnfForm(5, good).monomials == frozenset(good)  # the bounds 0 and 31 pass
+
+
+_SPECTRUM = walsh_spectrum(truth_table_from_anf(AnfForm(4, {3})))
+
+# every public function that reads a mask, a monomial list or a SANF, fed one
+# mask at n = 4; format_monomial and cover_coefficient take no n, so 2^n is a
+# mask like any other there
+_MASK_READERS = {
+    "rotate": (lambda u: rotate(u, 1, 4), True),
+    "orbit_masks": (lambda u: orbit_masks(u, 4), True),
+    "canonical_rep": (lambda u: canonical_rep(u, 4), True),
+    "mask_to_bits": (lambda u: mask_to_bits(u, 4), True),
+    "format_monomial": (format_monomial, False),
+    "Sanf": (lambda u: Sanf(4, (u,)), True),
+    "sanf_from_masks": (lambda u: sanf_from_masks([1, u], 4), True),
+    "AnfForm": (lambda u: AnfForm(4, [1, u]), True),
+    "all_cover_coefficients": (lambda u: all_cover_coefficients([1, u], 4).tolist(), True),
+    "cover_coefficient(monomials)": (lambda u: cover_coefficient([1, u], 15), False),
+    "cover_coefficient(u)": (lambda u: cover_coefficient([1], u), False),
+    "cover_coefficient_from_spectrum": (
+        lambda u: cover_coefficient_from_spectrum(_SPECTRUM, u),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MASK_READERS))
+def test_every_mask_reader_refuses_the_same_bad_values(name):
+    # a mask is read exactly: numpy integers pass, a float or a string is a
+    # TypeError (never rounded onto a monomial), a negative mask and, where an
+    # n applies, 2^n a ValueError.  The valid call first warms any memo, so a
+    # bad value equal to a cached key (3.0 == 3) must still be refused
+    reader, has_n = _MASK_READERS[name]
+    want = reader(3)
+    for good in (np.int64(3), np.uint8(3)):
+        assert reader(good) == want
+    for bad in (1.5, "3", np.float64(3)):
+        with pytest.raises(TypeError):
+            reader(bad)
+    for bad in (-1, 1 << 4) if has_n else (-1,):
+        with pytest.raises(ValueError, match=f"{bad} out of range"):
+            reader(bad)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [  # each was read as the monomial named after it
+        pytest.param(lambda: Sanf(10, "7"), TypeError, id="Sanf-str"),  # x1x2x3
+        pytest.param(lambda: Sanf(10, np.array([7.9])), TypeError, id="Sanf-array"),  # x1x2x3
+        pytest.param(lambda: Sanf(4, (1.5,)), TypeError, id="Sanf-float"),  # x1
+        pytest.param(lambda: AnfForm(3, ["5"]), TypeError, id="AnfForm-str"),  # x1x3
+        pytest.param(lambda: AnfForm(4, [1.7]), TypeError, id="AnfForm-float"),  # x1
+        pytest.param(lambda: all_cover_coefficients(["3"], 2), TypeError, id="H-str"),  # x1x2
+        pytest.param(lambda: all_cover_coefficients([1.7], 2), TypeError, id="H-float"),  # x1
+        pytest.param(lambda: format_monomial(-3), ValueError, id="format-negative"),  # x1
+    ],
+)
+def test_masks_are_not_coerced_onto_another_monomial(call, error):
+    with pytest.raises(error):
+        call()

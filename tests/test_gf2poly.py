@@ -204,7 +204,13 @@ def test_mod_matches_divmod():
 
 @pytest.mark.parametrize(
     "call, args, negative",
-    [(gf2_mod, (3, -1), -1), (gf2_mod, (-5, 3), -5), (gf2_gcd, (-1, 3), -1), (poly_str, (-6,), -6)],
+    [
+        (gf2_mod, (3, -1), -1),
+        (gf2_mod, (-5, 3), -5),
+        (gf2_gcd, (-1, 3), -1),
+        (poly_str, (-6,), -6),
+        (gf2_gcd, (-1, 0), -1),  # no remainder taken: gf2_mod never sees -1
+    ],
 )
 def test_a_negative_polynomial_is_refused(call, args, negative):
     # XOR with a sign-extended int never lowers its bit length, so the

@@ -959,3 +959,17 @@ def test_a_route_that_disagrees_names_the_sanf(monkeypatch):
     assert str(exc.value) == (
         "methods disagree on x1x2: walsh=False, valuation=False, gcd=False, rank=True"
     )
+
+
+@pytest.mark.parametrize(
+    "route", ["is_bent", "bent_by_valuation", "is_bent_degree2_rots", "is_bent_quadratic"]
+)
+def test_an_error_inside_a_route_reaches_the_caller(monkeypatch, route):
+    # only a route past its cap is left out; a ValueError raised inside one
+    # is a fault, not "this route does not take the SANF"
+    def broken(arg):
+        raise ValueError("broken route")
+
+    monkeypatch.setattr(search, route, broken)
+    with pytest.raises(ValueError, match="^broken route$"):
+        bent_verdict(parse_sanf("x1x3", 8))  # every route takes it

@@ -323,6 +323,28 @@ def test_one_table_cap():
     assert sites == ["boolfn.py"]
 
 
+def test_one_mask_check():
+    # "a mask for n is an int in [0, 2^n)" is raised by boolfn's two checks and
+    # by Sanf's inline per-rep check alone, and no mask is coerced by int()
+    rule, sites = r"(mask|representative) .*out of range for n=", []
+    for path in sorted((ROOT / "src" / "rotbent").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                sites += [
+                    (path.name, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Raise) and re.search(rule, ast.unparse(node))
+                ]
+    assert sorted(sites) == [
+        ("boolfn.py", "_check_mask"),
+        ("boolfn.py", "_check_masks"),
+        ("rotsym.py", "__post_init__"),
+    ]
+    for name in ("boolfn.py", "rotsym.py"):
+        text = (ROOT / "src" / "rotbent" / name).read_text(encoding="utf-8")
+        assert not re.search(r"\bmap\(\s*int\b", text), name
+
+
 def test_cli_imports_no_cap_constant():
     # a command past a cap fails with the library's own refusal
     tree = ast.parse((ROOT / "src" / "rotbent" / "cli.py").read_text(encoding="utf-8"))
